@@ -27,15 +27,15 @@ from .contrastive import (
     train_linear_embedder,
     write_sample_manifest,
 )
-from .crops import Crop, extract_crop
+from .crops import Crop, extract_crop, write_crop_channels
 from .disambig import localize
 from .errors import ConfigurationError, FormatError, RaylocError
 from .floorplan import (
     FloorPlan,
     Pose,
-    cast_ray,
     load_floorplan,
     ray_bearings,
+    render_gt_rays,
     save_floorplan,
     write_pgm,
 )
@@ -108,13 +108,19 @@ def cmd_gen_world(cfg: RunConfig, args) -> int:
 
 def cmd_cast(cfg: RunConfig, args) -> int:
     plan = load_floorplan(_require_file(args.map))
+    fan = render_gt_rays(
+        plan,
+        Pose(args.x, args.y, args.theta),
+        n_rays=cfg.rays.n_rays,
+        fov=cfg.rays.fov,
+        max_range=cfg.rays.max_range_m,
+    )
     bearings = ray_bearings(args.theta, cfg.rays.n_rays, cfg.rays.fov)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "rays.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bearing_rad", "depth_m", "hit"])
-        for bearing in bearings:
-            depth, hit = cast_ray(plan, args.x, args.y, bearing, cfg.rays.max_range_m)
+        for bearing, depth, hit in zip(bearings, fan.depths, fan.hits):
             writer.writerow([_fmt(bearing), _fmt(depth), int(hit)])
     echo_config(cfg, args.out)
     return 0
@@ -287,41 +293,32 @@ def _mine_all(cfg: RunConfig) -> tuple[list, list, list[MinedSample], np.ndarray
     return plans, dataset, mined, np.stack(anchor_embeddings)
 
 
-def _crop_doc(crop: Crop, out_dir: str, name: str) -> dict:
-    files = {}
-    names = ["occupancy", "texture"][: crop.n_channels]
-    for ch, channel in enumerate(names):
-        fname = f"{name}_{channel}.pgm"
-        values = crop.pixels[:, :, ch]
-        if channel == "occupancy":
-            values = np.where(values > 0, 0, 255).astype(np.uint8)
-        write_pgm(os.path.join(out_dir, fname), values)
-        files[channel] = fname
-    return {
-        "pose": _pose_doc(crop.source_pose),
-        "meters_per_px": crop.meters_per_px,
-        "files": files,
-    }
-
-
 def cmd_mine(cfg: RunConfig, args) -> int:
     _, _, mined, anchor_embeddings = _mine_all(cfg)
     os.makedirs(args.out, exist_ok=True)
     crop_dir = os.path.join(args.out, "crops")
     os.makedirs(crop_dir, exist_ok=True)
+
+    def crop_doc(crop: Crop, stem: str) -> dict:
+        return {
+            "pose": _pose_doc(crop.source_pose),
+            "meters_per_px": crop.meters_per_px,
+            "files": write_crop_channels(crop, crop_dir, stem),
+        }
+
     records = []
     for j, sample in enumerate(mined):
         record = {
             "anchor": j,
             "anchor_pose": _pose_doc(sample.anchor_pose),
             "anchor_embedding": [float(v) for v in anchor_embeddings[j]],
-            "positive": _crop_doc(sample.positive, crop_dir, f"a{j:05d}_pos"),
+            "positive": crop_doc(sample.positive, f"a{j:05d}_pos"),
             "position_negatives": [
-                _crop_doc(c, crop_dir, f"a{j:05d}_pneg{m}")
+                crop_doc(c, f"a{j:05d}_pneg{m}")
                 for m, c in enumerate(sample.position_negatives)
             ],
             "orientation_negatives": [
-                _crop_doc(c, crop_dir, f"a{j:05d}_oneg{m}")
+                crop_doc(c, f"a{j:05d}_oneg{m}")
                 for m, c in enumerate(sample.orientation_negatives)
             ],
         }

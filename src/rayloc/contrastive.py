@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crops import Crop, CropSpec, extract_crop
+from .crops import Crop, CropSpec, block_mean, extract_crop
 from .errors import (
     ConfigurationError,
     FormatError,
@@ -353,25 +353,12 @@ def crop_features(crop: Crop, n_texture_ids: int = 16, blocks: int = 8) -> np.nd
     """Fixed featurization of a crop for the linear embedder: block-averaged
     occupancy plus block-averaged one-hot texture indicator maps (texture ids
     are categorical, so they are one-hot encoded before flattening)."""
-    occ = crop.occupancy().astype(float)
-    parts = [_block_mean(occ, blocks).ravel()]
+    maps = crop.occupancy()[None]
     tex = crop.texture()
     if tex is not None:
-        for k in range(1, n_texture_ids + 1):
-            parts.append(_block_mean((tex == k).astype(float), blocks).ravel())
-    return np.concatenate(parts)
-
-
-def _block_mean(arr: np.ndarray, blocks: int) -> np.ndarray:
-    """Average-pool a square array down to (blocks, blocks)."""
-    n = arr.shape[0]
-    edges = np.linspace(0, n, blocks + 1).astype(int)
-    out = np.empty((blocks, blocks))
-    for i in range(blocks):
-        for j in range(blocks):
-            patch = arr[edges[i] : edges[i + 1], edges[j] : edges[j + 1]]
-            out[i, j] = patch.mean() if patch.size else 0.0
-    return out
+        ids = np.arange(1, n_texture_ids + 1)[:, None, None]
+        maps = np.concatenate([maps, tex[None] == ids])
+    return block_mean(maps, blocks).ravel()
 
 
 @dataclass(frozen=True)
@@ -417,21 +404,20 @@ def build_training_samples(
         raise ValidationError("one anchor embedding per mined sample required")
     samples = []
     for sample, emb in zip(mined, anchor_embeddings):
-        feats = lambda c: crop_features(c, n_texture_ids, blocks)  # noqa: E731
+        positive = crop_features(sample.positive, n_texture_ids, blocks)
+        position_negatives, orientation_negatives = (
+            np.reshape(
+                [crop_features(c, n_texture_ids, blocks) for c in crops],
+                (-1, positive.size),
+            )
+            for crops in (sample.position_negatives, sample.orientation_negatives)
+        )
         samples.append(
             TrainingSample(
                 anchor_embedding=np.asarray(emb, dtype=float),
-                positive_features=feats(sample.positive),
-                position_negative_features=np.stack(
-                    [feats(c) for c in sample.position_negatives]
-                )
-                if sample.position_negatives
-                else np.zeros((0, feats(sample.positive).size)),
-                orientation_negative_features=np.stack(
-                    [feats(c) for c in sample.orientation_negatives]
-                )
-                if sample.orientation_negatives
-                else np.zeros((0, feats(sample.positive).size)),
+                positive_features=positive,
+                position_negative_features=position_negatives,
+                orientation_negative_features=orientation_negatives,
             )
         )
     return samples
@@ -493,21 +479,6 @@ def add_peer_negatives(
     return out
 
 
-def _embed_with_grad(weights: np.ndarray, feats: np.ndarray):
-    """Normalize(W @ x) and a closure mapping dL/dg to dL/dW."""
-    u = weights @ feats
-    norm = float(np.linalg.norm(u))
-    if norm < 1e-12:
-        raise TrainingFailureError(-1, "degenerate embedding during training")
-    g = u / norm
-
-    def backward(dg: np.ndarray) -> np.ndarray:
-        du = (dg - g * float(g @ dg)) / norm
-        return np.outer(du, feats)
-
-    return g, backward
-
-
 def train_linear_embedder(
     samples: list[TrainingSample],
     dim: int = 32,
@@ -535,25 +506,19 @@ def train_linear_embedder(
     _check_denominator(denominator)
 
     n_features = samples[0].positive_features.size
+    for s in samples:
+        if (
+            s.positive_features.shape != (n_features,)
+            or s.position_negative_features.shape[1:] != (n_features,)
+            or s.orientation_negative_features.shape[1:] != (n_features,)
+        ):
+            raise ValidationError(
+                f"every crop needs {n_features} features (positive_features, "
+                "position_negative_features and orientation_negative_features)"
+            )
     rng = np.random.default_rng(seed)
     weights = rng.normal(scale=1.0 / math.sqrt(n_features), size=(dim, n_features))
-
-    n_pos_neg = samples[0].position_negative_features.shape[0]
-    n_ori_neg = samples[0].orientation_negative_features.shape[0]
-    uniform = all(
-        s.position_negative_features.shape[0] == n_pos_neg
-        and s.orientation_negative_features.shape[0] == n_ori_neg
-        and s.positive_features.size == n_features
-        for s in samples
-    )
-    if uniform:
-        weights, trace = _train_batched(
-            samples, weights, epochs, learning_rate, tau, denominator
-        )
-    else:
-        weights, trace = _train_per_sample(
-            samples, weights, epochs, learning_rate, tau, denominator
-        )
+    weights, trace = _train_batched(samples, weights, epochs, learning_rate, tau, denominator)
     return (
         LinearEmbedder(weights=weights, n_texture_ids=n_texture_ids, blocks=blocks),
         trace,
@@ -568,35 +533,43 @@ def _train_batched(
     tau: float,
     denominator: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized full-batch descent for uniformly shaped sample sets.
-    Crop order per sample: positive, then position negatives, then
-    orientation negatives."""
+    """Vectorized full-batch descent. Crop order per sample: positive, then
+    position negatives, then orientation negatives. Samples with fewer crops
+    are padded to the largest count; a padded slot has a -inf logit, a norm
+    of 1 and so a zero gradient."""
     n = len(samples)
-    feats = np.stack(
+    counts = np.array(
         [
-            np.vstack(
-                [
-                    s.positive_features[None, :],
-                    s.position_negative_features,
-                    s.orientation_negative_features,
-                ]
-            )
+            1 + s.position_negative_features.shape[0] + s.orientation_negative_features.shape[0]
             for s in samples
         ]
-    )  # (S, C, F)
+    )
+    n_crops = int(counts.max())
+    feats = np.zeros((n, n_crops, weights.shape[1]))  # (S, C, F)
+    for i, s in enumerate(samples):
+        feats[i, : counts[i]] = np.vstack(
+            [
+                s.positive_features[None, :],
+                s.position_negative_features,
+                s.orientation_negative_features,
+            ]
+        )
+    valid = np.arange(n_crops)[None, :] < counts[:, None]  # (S, C)
+    valid_flat = valid.ravel()
     anchors = np.stack([s.anchor_embedding for s in samples])  # (S, E)
-    n_crops = feats.shape[1]
     flat = feats.reshape(n * n_crops, -1)
 
     trace = np.empty(epochs)
     for epoch in range(epochs):
         u = flat @ weights.T  # (S*C, E)
         norms = np.linalg.norm(u, axis=1)
-        if np.any(norms < 1e-12):
+        if np.any(norms[valid_flat] < 1e-12):
             raise TrainingFailureError(epoch, "degenerate embedding during training")
+        norms[~valid_flat] = 1.0
         g = u / norms[:, None]
         g3 = g.reshape(n, n_crops, -1)
         sims = np.einsum("se,sce->sc", anchors, g3) / tau  # (S, C)
+        sims[~valid] = -np.inf
         s_neg = sims[:, 1:]
         if denominator == DENOM_WITH_POSITIVE:
             m = sims.max(axis=1, keepdims=True)
@@ -624,53 +597,6 @@ def _train_batched(
         grad_w = d_u.T @ flat
         weights = weights - learning_rate * grad_w / n
     return weights, trace
-
-
-def _train_per_sample(
-    samples: list[TrainingSample],
-    weights: np.ndarray,
-    epochs: int,
-    learning_rate: float,
-    tau: float,
-    denominator: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    trace = np.empty(epochs)
-    for epoch in range(epochs):
-        epoch_loss = 0.0
-        grad_w = np.zeros_like(weights)
-        for s in samples:
-            g_pos, back_pos = _embed_with_grad(weights, s.positive_features)
-            pneg, back_pneg = _embed_many(weights, s.position_negative_features)
-            aneg, back_aneg = _embed_many(weights, s.orientation_negative_features)
-            anchor = s.anchor_embedding[None, :]
-            loss = _nce_loss_raw(
-                anchor, g_pos[None, :], pneg, aneg, [(0, 0)], tau, denominator
-            )
-            grads = _nce_grad_raw(
-                anchor, g_pos[None, :], pneg, aneg, [(0, 0)], tau, denominator
-            )
-            epoch_loss += loss
-            grad_w += back_pos(grads["positives"][0])
-            for m, back in enumerate(back_pneg):
-                grad_w += back(grads["position_negatives"][m])
-            for m, back in enumerate(back_aneg):
-                grad_w += back(grads["orientation_negatives"][m])
-        mean_loss = epoch_loss / len(samples)
-        if not math.isfinite(mean_loss):
-            raise TrainingFailureError(epoch)
-        trace[epoch] = mean_loss
-        weights = weights - learning_rate * grad_w / len(samples)
-    return weights, trace
-
-
-def _embed_many(weights: np.ndarray, feats: np.ndarray):
-    embeddings = np.zeros((feats.shape[0], weights.shape[0]))
-    backwards = []
-    for m in range(feats.shape[0]):
-        g, back = _embed_with_grad(weights, feats[m])
-        embeddings[m] = g
-        backwards.append(back)
-    return embeddings, backwards
 
 
 # ---------------------------------------------------------------------------

@@ -119,30 +119,53 @@ def extract_crop(plan: FloorPlan, pose: Pose, spec: CropSpec) -> Crop:
     return Crop(pixels=pixels, meters_per_px=mpp, source_pose=pose)
 
 
+def block_mean(arr: np.ndarray, blocks: int) -> np.ndarray:
+    """Average-pool the last two axes of a (..., n, n) array to (..., blocks, blocks).
+
+    Block edges are ``linspace(0, n, blocks + 1)`` truncated to integers. Each
+    block is its sum divided by its pixel count, so 0/1 input pools exactly; a
+    block with no pixels (n < blocks) pools to 0.0.
+    """
+    arr = np.asarray(arr, dtype=float)
+    edges = np.linspace(0, arr.shape[-1], blocks + 1).astype(int)
+    starts = edges[:-1]
+    sums = np.add.reduceat(np.add.reduceat(arr, starts, axis=-1), starts, axis=-2)
+    sizes = np.diff(edges)
+    counts = np.outer(sizes, sizes)
+    # reduceat yields a single pixel, not 0, for an empty block: mask it out
+    return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+
+
+def write_crop_channels(crop: Crop, out_dir: str, stem: str) -> dict[str, str]:
+    """Write one graymap per crop channel as ``{stem}_{channel}.pgm`` (occupancy
+    as free = white) and return ``{channel: filename}``."""
+    files = {}
+    for ch, name in enumerate(["occupancy", "texture"][: crop.n_channels]):
+        fname = f"{stem}_{name}.pgm"
+        values = crop.pixels[:, :, ch]
+        if name == "occupancy":
+            values = np.where(values > 0, 0, 255).astype(np.uint8)
+        write_pgm(os.path.join(out_dir, fname), values)
+        files[name] = fname
+    return files
+
+
 def export_crops(crops: list[Crop], out_dir: str, prefix: str = "crop") -> str:
     """Write one graymap per channel per crop plus an index JSON mapping crop
     files to their source poses. Returns the index path."""
     os.makedirs(out_dir, exist_ok=True)
-    index = []
-    for i, crop in enumerate(crops):
-        entry = {
+    index = [
+        {
             "pose": {
                 "x": crop.source_pose.x,
                 "y": crop.source_pose.y,
                 "theta": crop.source_pose.theta,
             },
             "meters_per_px": crop.meters_per_px,
-            "channels": {},
+            "channels": write_crop_channels(crop, out_dir, f"{prefix}_{i:05d}"),
         }
-        names = ["occupancy", "texture"][: crop.n_channels]
-        for ch, name in enumerate(names):
-            fname = f"{prefix}_{i:05d}_{name}.pgm"
-            values = crop.pixels[:, :, ch]
-            if name == "occupancy":
-                values = np.where(values > 0, 0, 255).astype(np.uint8)
-            write_pgm(os.path.join(out_dir, fname), values)
-            entry["channels"][name] = fname
-        index.append(entry)
+        for i, crop in enumerate(crops)
+    ]
     index_path = os.path.join(out_dir, f"{prefix}_index.json")
     with open(index_path, "w", encoding="utf-8") as fh:
         json.dump(index, fh, indent=2)

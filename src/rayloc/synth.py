@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .crops import Crop
+from .crops import Crop, block_mean
 from .errors import ConfigurationError, ValidationError
 from .floorplan import (
     DEFAULT_MAX_RANGE,
@@ -454,13 +454,7 @@ class RandomProjectionEmbedder:
         else:
             counts = np.bincount(tex.ravel().astype(np.int64), minlength=256)
         hist = self._texture_feature(counts)
-        occ = crop.occupancy().astype(float)
-        n = occ.shape[0]
-        edges = np.linspace(0, n, self.geom_blocks + 1).astype(int)
-        geom = np.empty((self.geom_blocks, self.geom_blocks))
-        for i in range(self.geom_blocks):
-            for j in range(self.geom_blocks):
-                geom[i, j] = occ[edges[i] : edges[i + 1], edges[j] : edges[j + 1]].mean()
+        geom = block_mean(crop.occupancy(), self.geom_blocks)
         return self._project(
             np.concatenate([self.texture_weight * hist, self.geom_weight * geom.ravel()])
         )

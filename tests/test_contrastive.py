@@ -1,6 +1,7 @@
 """Contrastive loss, analytic gradients, sample mining, and embedder training."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from rayloc.contrastive import (
     PerturbSpec,
     _nce_grad_raw,
     _nce_loss_raw,
+    TrainingSample,
     _train_batched,
-    _train_per_sample,
     add_peer_negatives,
     build_training_samples,
     crop_features,
@@ -346,7 +347,6 @@ def _toy_samples(n=12, n_feats=10, dim=6, seed=0):
         anchor = target @ pos
         anchor /= np.linalg.norm(anchor)
         samples_raw.append((anchor, pos, negs))
-    from rayloc.contrastive import TrainingSample
 
     return [
         TrainingSample(
@@ -359,6 +359,57 @@ def _toy_samples(n=12, n_feats=10, dim=6, seed=0):
     ]
 
 
+def _ragged_samples(n_feats=10, dim=6, seed=4):
+    """Samples with differing negative counts, including some with no
+    position negatives and some with no orientation negatives."""
+    rng = np.random.default_rng(seed)
+    return [
+        TrainingSample(
+            anchor_embedding=_unit(rng, 1, dim)[0],
+            positive_features=rng.random(n_feats),
+            position_negative_features=rng.random((n_pos, n_feats)),
+            orientation_negative_features=rng.random((n_ori, n_feats)),
+        )
+        for n_pos, n_ori in [(3, 0), (0, 2), (1, 1), (5, 2), (0, 1), (2, 0), (4, 3)]
+    ]
+
+
+def _per_sample_reference(samples, weights, epochs, learning_rate, tau, denominator):
+    """Full-batch descent one sample at a time from the reference loss and
+    gradient, backpropagated through each crop's unit normalisation."""
+    trace = np.empty(epochs)
+    for epoch in range(epochs):
+        loss = 0.0
+        grad_w = np.zeros_like(weights)
+        for s in samples:
+            feats = np.vstack(
+                [
+                    s.positive_features[None, :],
+                    s.position_negative_features,
+                    s.orientation_negative_features,
+                ]
+            )
+            u = feats @ weights.T
+            norms = np.linalg.norm(u, axis=1, keepdims=True)
+            g = u / norms
+            split = 1 + s.position_negative_features.shape[0]
+            args = (s.anchor_embedding[None, :], g[:1], g[1:split], g[split:])
+            loss += _nce_loss_raw(*args, [(0, 0)], tau, denominator)
+            grads = _nce_grad_raw(*args, [(0, 0)], tau, denominator)
+            d_g = np.vstack(
+                [
+                    grads["positives"],
+                    grads["position_negatives"],
+                    grads["orientation_negatives"],
+                ]
+            )
+            d_u = (d_g - g * np.sum(g * d_g, axis=1, keepdims=True)) / norms
+            grad_w += d_u.T @ feats
+        trace[epoch] = loss / len(samples)
+        weights = weights - learning_rate * grad_w / len(samples)
+    return weights, trace
+
+
 class TestTraining:
     def test_loss_decreases(self):
         samples = _toy_samples()
@@ -369,14 +420,40 @@ class TestTraining:
         assert trace[-1] < trace[0]
 
     def test_batched_equals_per_sample(self):
-        samples = _toy_samples(n=6)
+        # ragged sets are padded inside the batched loop; uniform ones are not
         rng = np.random.default_rng(2)
         w0 = rng.normal(scale=0.1, size=(6, 10))
-        for denom in (DENOM_NEGATIVES_ONLY, DENOM_WITH_POSITIVE):
-            wa, ta = _train_batched(samples, w0.copy(), 5, 0.3, 0.07, denom)
-            wb, tb = _train_per_sample(samples, w0.copy(), 5, 0.3, 0.07, denom)
-            assert np.allclose(wa, wb, atol=1e-12)
-            assert np.allclose(ta, tb, atol=1e-12)
+        for samples in (_toy_samples(n=6), _ragged_samples()):
+            for denom in (DENOM_NEGATIVES_ONLY, DENOM_WITH_POSITIVE):
+                wa, ta = _train_batched(samples, w0.copy(), 5, 0.3, 0.07, denom)
+                wb, tb = _per_sample_reference(samples, w0.copy(), 5, 0.3, 0.07, denom)
+                assert np.allclose(wa, wb, atol=1e-12)
+                assert np.allclose(ta, tb, atol=1e-12)
+
+    def test_ragged_public_path(self):
+        _, trace = train_linear_embedder(
+            _ragged_samples(), dim=6, epochs=40, learning_rate=0.5, seed=1
+        )
+        assert np.all(np.isfinite(trace))
+        assert trace[-1] < trace[0]
+
+    def test_feature_length_mismatch_rejected(self):
+        samples = _ragged_samples()
+        s = samples[0]
+        for bad in (
+            dict(positive_features=s.positive_features[:9]),
+            dict(position_negative_features=s.position_negative_features[:, :9]),
+            dict(orientation_negative_features=np.zeros((1, 11))),
+        ):
+            fields = dict(
+                anchor_embedding=s.anchor_embedding,
+                positive_features=s.positive_features,
+                position_negative_features=s.position_negative_features,
+                orientation_negative_features=s.orientation_negative_features,
+            )
+            fields.update(bad)
+            with pytest.raises(ValidationError):
+                train_linear_embedder(samples[:1] + [TrainingSample(**fields)], dim=6)
 
     def test_deterministic(self):
         samples = _toy_samples()
@@ -391,8 +468,6 @@ class TestTraining:
         samples = _toy_samples(n=2)
         with pytest.raises(ValidationError):
             train_linear_embedder(samples, dim=1)
-        from rayloc.contrastive import TrainingSample
-
         no_neg = [
             TrainingSample(
                 anchor_embedding=s.anchor_embedding,
@@ -417,6 +492,13 @@ class TestBuildTrainingSamples:
         assert len(samples) == 3
         assert samples[0].position_negative_features.shape[0] == 2
         assert samples[0].orientation_negative_features.shape[0] == 1
+        # an empty family keeps the feature width
+        bare = replace(mined[0], orientation_negatives=())
+        (sample,) = build_training_samples([bare], np.eye(1, 8), blocks=4)
+        assert sample.orientation_negative_features.shape == (0, 4 * 4 * 17)
+        assert np.array_equal(
+            sample.position_negative_features, samples[0].position_negative_features
+        )
 
 
 class TestPeerNegatives:

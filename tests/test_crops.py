@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rayloc.crops import CropSpec, export_crops, extract_crop
+from rayloc.crops import CropSpec, block_mean, export_crops, extract_crop
 from rayloc.errors import OutOfBoundsError, ValidationError
 from rayloc.floorplan import Pose
 
@@ -107,3 +109,41 @@ class TestExportCrops:
             for fname in entry["channels"].values():
                 assert (out / fname).exists()
             assert entry["pose"]["x"] == pytest.approx(crops[i].source_pose.x)
+
+
+def _naive_block_mean(arr, blocks):
+    n = arr.shape[0]
+    edges = np.linspace(0, n, blocks + 1).astype(int)
+    out = np.zeros((blocks, blocks))
+    for i in range(blocks):
+        for j in range(blocks):
+            patch = arr[edges[i] : edges[i + 1], edges[j] : edges[j + 1]]
+            if patch.size:
+                out[i, j] = patch.mean()
+    return out
+
+
+class TestBlockMean:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 64),
+        blocks=st.integers(1, 10),
+        batch=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=3, blocks=8, batch=2, seed=0)  # empty blocks pool to 0.0
+    def test_matches_naive_loop(self, n, blocks, batch, seed):
+        rng = np.random.default_rng(seed)
+        binary = rng.integers(0, 2, size=(batch, n, n))
+        real = rng.normal(size=(batch, n, n))
+        pooled_binary = block_mean(binary, blocks)
+        pooled_real = block_mean(real, blocks)
+        assert pooled_binary.shape == pooled_real.shape == (batch, blocks, blocks)
+        for k in range(batch):
+            expect = _naive_block_mean(binary[k].astype(float), blocks)
+            assert pooled_binary[k].tobytes() == expect.tobytes()
+            assert np.allclose(
+                pooled_real[k], _naive_block_mean(real[k], blocks), rtol=0, atol=1e-12
+            )
+            # a slice pools exactly as it does inside the batch
+            assert block_mean(real[k], blocks).tobytes() == pooled_real[k].tobytes()

@@ -244,6 +244,13 @@ class TestRandomProjectionEmbedder:
         with pytest.raises(ValidationError):
             emb("not embeddable")
 
+    def test_crop_smaller_than_block_grid(self, textured_box_plan):
+        # 4 px cannot fill 8x8 pooling blocks; empty blocks must not yield NaN
+        crop = extract_crop(textured_box_plan, Pose(0.5, 0.5, 0.0), CropSpec(out_px=4))
+        v = RandomProjectionEmbedder().embed_crop(crop)
+        assert np.all(np.isfinite(v))
+        assert np.linalg.norm(v) == pytest.approx(1.0)
+
     def test_dim_validation(self):
         with pytest.raises(ValidationError):
             RandomProjectionEmbedder(dim=1)
