@@ -11,7 +11,7 @@ import numpy as np
 from .crops import CropSpec
 from .disambig import DisambigConfig, LocalizationResult, localize
 from .errors import ValidationError
-from .floorplan import DEFAULT_MAX_RANGE, DEFAULT_N_RAYS, FloorPlan, Pose
+from .floorplan import DEFAULT_FOV, DEFAULT_MAX_RANGE, DEFAULT_N_RAYS, FloorPlan, Pose
 from .metrics import EvalRecord, EvalReport, evaluate
 from .scoring import DEFAULT_SIGMA, GridScorer, PoseGridSpec, default_cell_stride
 from .synth import (
@@ -42,7 +42,7 @@ def build_benchmark(
     n_orientations: int = 36,
     cell_stride: float | None = None,
     n_rays: int = DEFAULT_N_RAYS,
-    fov: float = math.radians(108.0),
+    fov: float = DEFAULT_FOV,
     max_range: float = DEFAULT_MAX_RANGE,
     sigma: float = DEFAULT_SIGMA,
     crop_spec: CropSpec = CropSpec(),
@@ -51,10 +51,9 @@ def build_benchmark(
 ) -> Benchmark:
     """Generate the world and precompute the rendered-fan table once."""
     plan, poses = generate_world(world)
-    grid = PoseGridSpec(
-        cell_stride=cell_stride or default_cell_stride(plan.resolution),
-        n_orientations=n_orientations,
-    )
+    if cell_stride is None:
+        cell_stride = default_cell_stride(plan.resolution)
+    grid = PoseGridSpec(cell_stride=cell_stride, n_orientations=n_orientations)
     scorer = GridScorer(
         plan, grid, n_rays=n_rays, fov=fov, max_range=max_range
     )

@@ -76,7 +76,9 @@ def _pose_doc(pose: Pose) -> dict:
 
 
 def _grid_for(cfg: RunConfig, plan: FloorPlan) -> PoseGridSpec:
-    stride = cfg.grid.cell_stride_m or default_cell_stride(plan.resolution)
+    stride = cfg.grid.cell_stride_m
+    if stride is None:
+        stride = default_cell_stride(plan.resolution)
     return PoseGridSpec(cell_stride=stride, n_orientations=cfg.grid.n_orientations)
 
 

@@ -1,5 +1,8 @@
 """Run configuration: one JSON document aggregating every knob, with strict
-unknown-key rejection and documented defaults for anything omitted."""
+unknown-key rejection and the dataclass defaults for anything omitted.
+
+SCHEMA is the single description of the document: parsing, the unknown-key
+checks and the resolved echo are all derived from it."""
 
 from __future__ import annotations
 
@@ -11,28 +14,56 @@ from dataclasses import dataclass
 from .contrastive import MiningSpec, PerturbSpec
 from .crops import CropSpec
 from .disambig import DisambigConfig
-from .errors import ConfigurationError, RaylocError
+from .errors import ConfigurationError, ValidationError
+from .floorplan import DEFAULT_FOV, DEFAULT_MAX_RANGE, DEFAULT_N_RAYS
 from .raybins import BinSpec
+from .scoring import DEFAULT_SIGMA
 from .synth import NoiseSpec, WorldSpec
 
 
-def _section(doc: dict, name: str, allowed: set[str]) -> dict:
-    sub = doc.get(name, {})
-    if not isinstance(sub, dict):
-        raise ConfigurationError(f"config section {name!r} must be an object")
-    unknown = set(sub) - allowed
-    if unknown:
-        raise ConfigurationError(
-            f"unknown keys in config section {name!r}: {sorted(unknown)}"
-        )
-    return sub
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _pair(value) -> tuple[float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise TypeError(f"expected a pair of numbers, got {value!r}")
+    return (_number(value[0]), _number(value[1]))
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _or_none(convert):
+    return lambda value: None if value is None else convert(value)
 
 
 @dataclass(frozen=True)
 class RayParams:
-    n_rays: int = 40
-    fov_deg: float = 108.0
-    max_range_m: float = 10.0
+    n_rays: int = DEFAULT_N_RAYS
+    fov_deg: float = math.degrees(DEFAULT_FOV)
+    max_range_m: float = DEFAULT_MAX_RANGE
+
+    def __post_init__(self):
+        if self.n_rays < 2:
+            raise ValidationError(f"n_rays must be >= 2, got {self.n_rays}")
+        if not 0 < self.fov_deg < 360:
+            raise ValidationError(f"fov_deg must lie in (0, 360), got {self.fov_deg}")
+        if not self.max_range_m > 0:
+            raise ValidationError(f"max_range_m must be > 0, got {self.max_range_m}")
 
     @property
     def fov(self) -> float:
@@ -44,6 +75,14 @@ class GridParams:
     cell_stride_m: float | None = None  # None: map resolution rule
     n_orientations: int = 36
 
+    def __post_init__(self):
+        if self.cell_stride_m is not None and not self.cell_stride_m > 0:
+            raise ValidationError(f"cell_stride_m must be > 0, got {self.cell_stride_m}")
+        if self.n_orientations < 1:
+            raise ValidationError(
+                f"n_orientations must be >= 1, got {self.n_orientations}"
+            )
+
 
 @dataclass(frozen=True)
 class BenchParams:
@@ -51,7 +90,14 @@ class BenchParams:
     n_worlds: int = 2
     n_anchors: int = 64
     query_seed: int = 1
-    sigma_m: float = 0.5
+    sigma_m: float = DEFAULT_SIGMA
+
+    def __post_init__(self):
+        for name in ("n_queries", "n_worlds", "n_anchors"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.sigma_m > 0:
+            raise ValidationError(f"sigma_m must be > 0, got {self.sigma_m}")
 
 
 @dataclass(frozen=True)
@@ -59,184 +105,138 @@ class EmbedderParams:
     dim: int = 64
     seed: int = 7
 
+    def __post_init__(self):
+        if self.dim < 2:
+            raise ValidationError(f"dim must be >= 2, got {self.dim}")
+
+
+# section -> (dataclass, {JSON key: (dataclass field, converter)}); the
+# top-level document is these sections plus an integer "seed".
+SCHEMA = {
+    "rays": (RayParams, {
+        "n_rays": ("n_rays", _integer),
+        "fov_deg": ("fov_deg", _number),
+        "max_range_m": ("max_range_m", _number),
+    }),
+    "bins": (BinSpec, {
+        "d_min_m": ("d_min", _number),
+        "d_max_m": ("d_max", _number),
+        "n_bins": ("n_bins", _integer),
+        "gamma": ("gamma", _number),
+    }),
+    "grid": (GridParams, {
+        "cell_stride_m": ("cell_stride_m", _or_none(_number)),
+        "n_orientations": ("n_orientations", _integer),
+    }),
+    "crop": (CropSpec, {
+        "side_m": ("side_m", _number),
+        "out_px": ("out_px", _or_none(_integer)),
+        "channels": ("channels", _text),
+    }),
+    "perturb": (PerturbSpec, {
+        "pos_b_m": ("pos_b", _number),
+        "ang_b_rad": ("ang_b", _number),
+    }),
+    "mining": (MiningSpec, {
+        "inner_neg_dist_m": ("inner_neg_dist", _pair),
+        "ori_neg_rotation_rad": ("ori_neg_rotation", _number),
+        "n_inner": ("n_inner", _integer),
+        "n_cross": ("n_cross", _integer),
+        "n_ori": ("n_ori", _integer),
+        "seed": ("seed", _integer),
+    }),
+    "disambig": (DisambigConfig, {
+        "w": ("w", _number),
+        "softmax_temperature": ("softmax_temperature", _number),
+        "x": ("x", _integer),
+    }),
+    "world": (WorldSpec, {
+        "layout": ("layout", _text),
+        "extent_m": ("extent", _pair),
+        "resolution_m": ("resolution", _number),
+        "texture_policy": ("texture_policy", _text),
+        "seed": ("seed", _integer),
+    }),
+    "noise": (NoiseSpec, {
+        "depth_sigma_m": ("depth_sigma", _number),
+        "dropout": ("dropout", _number),
+    }),
+    "embedder": (EmbedderParams, {
+        "dim": ("dim", _integer),
+        "seed": ("seed", _integer),
+    }),
+    "bench": (BenchParams, {
+        "n_queries": ("n_queries", _integer),
+        "n_worlds": ("n_worlds", _integer),
+        "n_anchors": ("n_anchors", _integer),
+        "query_seed": ("query_seed", _integer),
+        "sigma_m": ("sigma_m", _number),
+    }),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    rays: RayParams
-    bins: BinSpec
-    grid: GridParams
-    crop: CropSpec
-    perturb: PerturbSpec
-    mining: MiningSpec
-    disambig: DisambigConfig
-    world: WorldSpec
-    noise: NoiseSpec
-    embedder: EmbedderParams
-    bench: BenchParams
+    rays: RayParams = RayParams()
+    bins: BinSpec = BinSpec()
+    grid: GridParams = GridParams()
+    crop: CropSpec = CropSpec()
+    perturb: PerturbSpec = PerturbSpec()
+    mining: MiningSpec = MiningSpec()
+    disambig: DisambigConfig = DisambigConfig()
+    world: WorldSpec = WorldSpec()
+    noise: NoiseSpec = NoiseSpec()
+    embedder: EmbedderParams = EmbedderParams()
+    bench: BenchParams = BenchParams()
     seed: int = 0
 
     def resolved(self) -> dict:
         """Fully resolved document for echoing into the run directory."""
-        return {
-            "rays": {
-                "n_rays": self.rays.n_rays,
-                "fov_deg": self.rays.fov_deg,
-                "max_range_m": self.rays.max_range_m,
-            },
-            "bins": self.bins.to_dict(),
-            "grid": {
-                "cell_stride_m": self.grid.cell_stride_m,
-                "n_orientations": self.grid.n_orientations,
-            },
-            "crop": {
-                "side_m": self.crop.side_m,
-                "out_px": self.crop.out_px,
-                "channels": self.crop.channels,
-            },
-            "perturb": {"pos_b_m": self.perturb.pos_b, "ang_b_rad": self.perturb.ang_b},
-            "mining": {
-                "inner_neg_dist_m": list(self.mining.inner_neg_dist),
-                "ori_neg_rotation_rad": self.mining.ori_neg_rotation,
-                "n_inner": self.mining.n_inner,
-                "n_cross": self.mining.n_cross,
-                "n_ori": self.mining.n_ori,
-                "seed": self.mining.seed,
-            },
-            "disambig": {
-                "w": self.disambig.w,
-                "softmax_temperature": self.disambig.softmax_temperature,
-                "x": self.disambig.x,
-            },
-            "world": {
-                "layout": self.world.layout,
-                "extent_m": list(self.world.extent),
-                "resolution_m": self.world.resolution,
-                "texture_policy": self.world.texture_policy,
-                "seed": self.world.seed,
-            },
-            "noise": {
-                "depth_sigma_m": self.noise.depth_sigma,
-                "dropout": self.noise.dropout,
-            },
-            "embedder": {"dim": self.embedder.dim, "seed": self.embedder.seed},
-            "bench": {
-                "n_queries": self.bench.n_queries,
-                "n_worlds": self.bench.n_worlds,
-                "n_anchors": self.bench.n_anchors,
-                "query_seed": self.bench.query_seed,
-                "sigma_m": self.bench.sigma_m,
-            },
-            "seed": self.seed,
-        }
+        doc = {}
+        for name, (_, keys) in SCHEMA.items():
+            section = getattr(self, name)
+            doc[name] = {key: _plain(getattr(section, f)) for key, (f, _) in keys.items()}
+        doc["seed"] = self.seed
+        return doc
 
 
-TOP_LEVEL_KEYS = {
-    "rays",
-    "bins",
-    "grid",
-    "crop",
-    "perturb",
-    "mining",
-    "disambig",
-    "world",
-    "noise",
-    "embedder",
-    "bench",
-    "seed",
-}
+def _plain(value):
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _convert(key: str, convert, value):
+    try:
+        return convert(value)
+    except (TypeError, OverflowError) as exc:
+        raise ConfigurationError(f"malformed config value {key}: {exc}") from exc
+
+
+def _section(name: str, sub):
+    cls, keys = SCHEMA[name]
+    if not isinstance(sub, dict):
+        raise ConfigurationError(f"config section {name!r} must be an object")
+    unknown = set(sub) - set(keys)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown keys in config section {name!r}: {sorted(unknown)}"
+        )
+    fields = {}
+    for key, value in sub.items():
+        field, convert = keys[key]
+        fields[field] = _convert(f"{name}.{key}", convert, value)
+    return cls(**fields)
 
 
 def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigurationError("config must be a JSON object")
-    unknown = set(doc) - TOP_LEVEL_KEYS
+    unknown = set(doc) - set(SCHEMA) - {"seed"}
     if unknown:
         raise ConfigurationError(f"unknown top-level config keys: {sorted(unknown)}")
-    try:
-        rays = _section(doc, "rays", {"n_rays", "fov_deg", "max_range_m"})
-        bins = _section(doc, "bins", {"d_min_m", "d_max_m", "n_bins", "gamma"})
-        grid = _section(doc, "grid", {"cell_stride_m", "n_orientations"})
-        crop = _section(doc, "crop", {"side_m", "out_px", "channels"})
-        perturb = _section(doc, "perturb", {"pos_b_m", "ang_b_rad"})
-        mining = _section(
-            doc,
-            "mining",
-            {"inner_neg_dist_m", "ori_neg_rotation_rad", "n_inner", "n_cross", "n_ori", "seed"},
-        )
-        disambig = _section(doc, "disambig", {"w", "softmax_temperature", "x"})
-        world = _section(
-            doc, "world", {"layout", "extent_m", "resolution_m", "texture_policy", "seed"}
-        )
-        noise = _section(doc, "noise", {"depth_sigma_m", "dropout"})
-        embedder = _section(doc, "embedder", {"dim", "seed"})
-        bench = _section(
-            doc, "bench", {"n_queries", "n_worlds", "n_anchors", "query_seed", "sigma_m"}
-        )
-        return RunConfig(
-            rays=RayParams(
-                n_rays=int(rays.get("n_rays", 40)),
-                fov_deg=float(rays.get("fov_deg", 108.0)),
-                max_range_m=float(rays.get("max_range_m", 10.0)),
-            ),
-            bins=BinSpec.from_dict(bins),
-            grid=GridParams(
-                cell_stride_m=(
-                    float(grid["cell_stride_m"])
-                    if grid.get("cell_stride_m") is not None
-                    else None
-                ),
-                n_orientations=int(grid.get("n_orientations", 36)),
-            ),
-            crop=CropSpec(
-                side_m=float(crop.get("side_m", 5.0)),
-                out_px=int(crop["out_px"]) if crop.get("out_px") is not None else None,
-                channels=crop.get("channels", "occupancy+texture"),
-            ),
-            perturb=PerturbSpec(
-                pos_b=float(perturb.get("pos_b_m", 0.5)),
-                ang_b=float(perturb.get("ang_b_rad", 0.26)),
-            ),
-            mining=MiningSpec(
-                inner_neg_dist=tuple(mining.get("inner_neg_dist_m", (1.5, 3.0))),
-                ori_neg_rotation=float(mining.get("ori_neg_rotation_rad", math.pi)),
-                n_inner=int(mining.get("n_inner", 1)),
-                n_cross=int(mining.get("n_cross", 8)),
-                n_ori=int(mining.get("n_ori", 1)),
-                seed=int(mining.get("seed", 0)),
-            ),
-            disambig=DisambigConfig(
-                w=float(disambig.get("w", 0.5)),
-                softmax_temperature=float(disambig.get("softmax_temperature", 1.0)),
-                x=int(disambig.get("x", 100)),
-            ),
-            world=WorldSpec(
-                layout=world.get("layout", "twin-rooms"),
-                extent=tuple(world.get("extent_m", (12.0, 6.0))),
-                resolution=float(world.get("resolution_m", 0.1)),
-                texture_policy=world.get("texture_policy", "distinct"),
-                seed=int(world.get("seed", 0)),
-            ),
-            noise=NoiseSpec(
-                depth_sigma=float(noise.get("depth_sigma_m", 0.0)),
-                dropout=float(noise.get("dropout", 0.0)),
-            ),
-            embedder=EmbedderParams(
-                dim=int(embedder.get("dim", 64)),
-                seed=int(embedder.get("seed", 7)),
-            ),
-            bench=BenchParams(
-                n_queries=int(bench.get("n_queries", 50)),
-                n_worlds=int(bench.get("n_worlds", 2)),
-                n_anchors=int(bench.get("n_anchors", 64)),
-                query_seed=int(bench.get("query_seed", 1)),
-                sigma_m=float(bench.get("sigma_m", 0.5)),
-            ),
-            seed=int(doc.get("seed", 0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed config value: {exc}") from exc
-    except RaylocError:
-        raise
+    fields = {name: _section(name, doc[name]) for name in SCHEMA if name in doc}
+    if "seed" in doc:
+        fields["seed"] = _convert("seed", _integer, doc["seed"])
+    return RunConfig(**fields)
 
 
 def load_config(path: str | None) -> RunConfig:

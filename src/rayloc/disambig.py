@@ -3,7 +3,6 @@ depth posterior, and the end-to-end localization pipeline."""
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -11,7 +10,7 @@ import numpy as np
 
 from .crops import Crop, CropSpec, extract_crop
 from .errors import EmptyDomainError, ValidationError
-from .floorplan import DEFAULT_MAX_RANGE, DEFAULT_N_RAYS, FloorPlan, Pose
+from .floorplan import DEFAULT_FOV, DEFAULT_MAX_RANGE, DEFAULT_N_RAYS, FloorPlan, Pose
 from .scoring import (
     DEFAULT_SIGMA,
     CandidateSet,
@@ -104,7 +103,7 @@ def localize(
     sigma: float = DEFAULT_SIGMA,
     scorer: GridScorer | None = None,
     n_rays: int = DEFAULT_N_RAYS,
-    fov: float = math.radians(108.0),
+    fov: float = DEFAULT_FOV,
     max_range: float = DEFAULT_MAX_RANGE,
     threads: int = 1,
 ) -> LocalizationResult:

@@ -29,6 +29,7 @@ TWO_PI = 2.0 * math.pi
 
 DEFAULT_MAX_RANGE = 10.0  # meters; indoor scale
 DEFAULT_N_RAYS = 40
+DEFAULT_FOV = math.radians(108.0)  # horizontal field of view
 
 WALL_THRESHOLD = 128  # graymap pixel < 128 => wall
 
@@ -279,7 +280,7 @@ def render_gt_rays(
     plan: FloorPlan,
     pose: Pose,
     n_rays: int = DEFAULT_N_RAYS,
-    fov: float = math.radians(108.0),
+    fov: float = DEFAULT_FOV,
     max_range: float = DEFAULT_MAX_RANGE,
 ) -> RayFan:
     """Cast the full fan for a pose against the floorplan geometry."""

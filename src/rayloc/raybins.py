@@ -36,23 +36,6 @@ class BinSpec:
         if not self.gamma > 0:
             raise ValidationError(f"gamma must be > 0, got {self.gamma}")
 
-    def to_dict(self) -> dict:
-        return {
-            "d_min_m": self.d_min,
-            "d_max_m": self.d_max,
-            "n_bins": self.n_bins,
-            "gamma": self.gamma,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BinSpec":
-        return cls(
-            d_min=float(d.get("d_min_m", 0.1)),
-            d_max=float(d.get("d_max_m", 10.0)),
-            n_bins=int(d.get("n_bins", 64)),
-            gamma=float(d.get("gamma", 1.0)),
-        )
-
 
 def bin_centers(spec: BinSpec) -> np.ndarray:
     """Centers d_1 .. d_D of the power-law bins, strictly increasing."""

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import EmptyDomainError, FormatError, ValidationError
 from .floorplan import (
+    DEFAULT_FOV,
     DEFAULT_MAX_RANGE,
     DEFAULT_N_RAYS,
     TWO_PI,
@@ -160,7 +161,7 @@ class GridScorer:
         plan: FloorPlan,
         grid: PoseGridSpec,
         n_rays: int = DEFAULT_N_RAYS,
-        fov: float = math.radians(108.0),
+        fov: float = DEFAULT_FOV,
         max_range: float = DEFAULT_MAX_RANGE,
         chunk: int = 2_000_000,
     ):
@@ -238,7 +239,7 @@ def build_dafpm(
     sigma: float = DEFAULT_SIGMA,
     scorer: GridScorer | None = None,
     n_rays: int | None = None,
-    fov: float = math.radians(108.0),
+    fov: float = DEFAULT_FOV,
     max_range: float = DEFAULT_MAX_RANGE,
 ) -> ProbMap:
     """Pose posterior from ray agreement alone.

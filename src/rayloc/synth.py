@@ -19,6 +19,7 @@ from scipy import ndimage
 from .crops import Crop, block_mean
 from .errors import ConfigurationError, ValidationError
 from .floorplan import (
+    DEFAULT_FOV,
     DEFAULT_MAX_RANGE,
     DEFAULT_N_RAYS,
     TWO_PI,
@@ -333,7 +334,7 @@ def simulate_observation(
     noise: NoiseSpec = NoiseSpec(),
     seed: int = 0,
     n_rays: int = DEFAULT_N_RAYS,
-    fov: float = math.radians(108.0),
+    fov: float = DEFAULT_FOV,
     max_range: float = DEFAULT_MAX_RANGE,
 ) -> tuple[np.ndarray, ObservationSignature]:
     """Noisy predicted ray depths plus the noiseless observation signature.

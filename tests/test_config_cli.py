@@ -3,14 +3,70 @@
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rayloc.cli import EXIT_CONFIG, EXIT_MISSING, EXIT_RUNTIME, main
-from rayloc.config import load_config, parse_config
-from rayloc.errors import ConfigurationError, RaylocError
+from rayloc.config import SCHEMA, _integer, _number, _pair, load_config, parse_config
+from rayloc.errors import ConfigurationError, RaylocError, ValidationError
 from rayloc.floorplan import cast_ray, load_floorplan
+
+
+_FLOATS = st.floats(min_value=1e-3, max_value=1e3)
+
+# a value for each key, chosen by the key's converter unless the target
+# dataclass accepts a narrower domain than the converter does
+_KEY_VALUES = {
+    ("rays", "n_rays"): st.integers(2, 720),
+    ("rays", "fov_deg"): st.floats(min_value=0.5, max_value=359.5),
+    ("grid", "cell_stride_m"): st.none() | _FLOATS,
+    ("crop", "out_px"): st.none() | st.integers(2, 256),
+    ("crop", "channels"): st.sampled_from(["occupancy", "occupancy+texture"]),
+    ("disambig", "w"): st.floats(min_value=0.0, max_value=1.0),
+    ("noise", "dropout"): st.floats(min_value=0.0, max_value=1.0),
+    ("world", "layout"): st.sampled_from(["twin-rooms", "random-partition", "corridor-of-3"]),
+    ("world", "texture_policy"): st.sampled_from(["distinct", "none"]),
+    ("embedder", "dim"): st.integers(2, 512),
+}
+_CONVERTER_VALUES = {
+    _number: _FLOATS | st.integers(1, 1000),
+    _integer: st.integers(1, 10**6),
+    _pair: st.lists(_FLOATS, min_size=2, max_size=2, unique=True).map(sorted),
+}
+
+
+def _section_is_valid(name: str, sub: dict) -> bool:
+    # cross-field rules (d_min < d_max) are left to the dataclass
+    try:
+        parse_config({name: sub})
+    except ValidationError:
+        return False
+    return True
+
+
+@st.composite
+def valid_documents(draw) -> dict:
+    """A valid run-config document with a random subset of sections and keys,
+    drawn from the config schema."""
+    doc = {}
+    for name in draw(st.lists(st.sampled_from(sorted(SCHEMA)), unique=True)):
+        keys = SCHEMA[name][1]
+        chosen = draw(st.lists(st.sampled_from(sorted(keys)), unique=True))
+        values = {
+            key: _KEY_VALUES.get((name, key), _CONVERTER_VALUES.get(keys[key][1]))
+            for key in chosen
+        }
+        doc[name] = draw(
+            st.fixed_dictionaries(values).filter(lambda sub: _section_is_valid(name, sub))
+        )
+    if draw(st.booleans()):
+        doc["seed"] = draw(st.integers(0, 2**32))
+    return doc
 
 
 class TestParseConfig:
@@ -63,19 +119,89 @@ class TestParseConfig:
         assert cfg.disambig.w == 0.25
         assert cfg.seed == 7
 
-    def test_resolved_round_trips(self):
-        cfg = parse_config({"rays": {"n_rays": 12}, "bins": {"gamma": 2.0}})
-        again = parse_config(
-            {
-                k: v
-                for k, v in cfg.resolved().items()
-                if k in ("rays", "bins", "disambig", "seed")
-                # resolved() uses expanded key names for the other sections;
-                # the subset here matches the input schema directly
-            }
+    @settings(max_examples=200, deadline=None)
+    @given(doc=valid_documents())
+    def test_resolved_round_trips(self, doc):
+        cfg = parse_config(doc)
+        echoed = cfg.resolved()
+        assert parse_config(json.loads(json.dumps(echoed))) == cfg
+        # every value the document sets is echoed under its own key
+        for name, value in doc.items():
+            assert echoed[name] == (value if name == "seed" else {**echoed[name], **value})
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        doc=valid_documents(),
+        section=st.sampled_from(sorted(SCHEMA)),
+        key=st.text(min_size=1, max_size=12),
+    )
+    def test_unknown_key_in_any_section(self, doc, section, key):
+        assume(key not in SCHEMA[section][1])
+        doc[section] = {**doc.get(section, {}), key: 1}
+        with pytest.raises(ConfigurationError, match="unknown keys"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"rays": {"n_rays": 40.9}},
+            {"rays": {"n_rays": True}},
+            {"rays": {"fov_deg": "90"}},
+            {"rays": {"max_range_m": None}},
+            {"rays": {"max_range_m": 10**400}},
+            {"world": {"extent_m": [6, 4, 3]}},
+            {"world": {"extent_m": "ab"}},
+            {"world": {"extent_m": [6, False]}},
+            {"world": {"layout": 3}},
+            {"mining": {"inner_neg_dist_m": [1.5]}},
+            {"crop": {"out_px": 32.5}},
+            {"seed": 1.5},
+        ],
+    )
+    def test_strict_converters(self, doc):
+        with pytest.raises(ConfigurationError, match="malformed config value"):
+            parse_config(doc)
+
+    def test_integral_numbers_convert(self):
+        cfg = parse_config(
+            {"rays": {"n_rays": 16.0, "fov_deg": 90}, "world": {"extent_m": [10, 4]}}
         )
-        assert again.rays.n_rays == 12
-        assert again.bins.gamma == 2.0
+        assert cfg.rays.n_rays == 16 and isinstance(cfg.rays.n_rays, int)
+        assert cfg.rays.fov_deg == 90.0 and isinstance(cfg.rays.fov_deg, float)
+        # pairs are stored as floats, so an integer pair echoes as floats
+        assert json.dumps(cfg.resolved()["world"]["extent_m"]) == "[10.0, 4.0]"
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("rays", "n_rays", 1),
+            ("rays", "fov_deg", 0.0),
+            ("rays", "fov_deg", 360.0),
+            ("rays", "max_range_m", 0.0),
+            ("grid", "cell_stride_m", 0.0),
+            ("grid", "n_orientations", 0),
+            ("bench", "n_queries", 0),
+            ("bench", "n_worlds", 0),
+            ("bench", "n_anchors", 0),
+            ("bench", "sigma_m", 0.0),
+            ("embedder", "dim", 1),
+        ],
+    )
+    def test_range_checks(self, section, key, value):
+        with pytest.raises(ValidationError, match=key):
+            parse_config({section: {key: value}})
+
+    def test_readme_table_lists_every_default(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        row = re.compile(r"^\| (?:`(\w+)`|—) \| `(\w+)` \| `([^`]*)` \|")
+        documented = {}
+        for line in readme.read_text(encoding="utf-8").splitlines():
+            match = row.match(line)
+            if match:
+                section, key, default = match.groups()
+                target = documented.setdefault(section, {}) if section else documented
+                target[key] = json.loads(default)
+        assert documented == parse_config({}).resolved()
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -362,6 +488,43 @@ class TestCliExitCodes:
         with open(out / "error.json") as fh:
             doc = json.load(fh)
         assert doc["error"]["type"] == "ConfigurationError"
+
+    @pytest.mark.parametrize(
+        "command,section,override",
+        [
+            # malformed values
+            ("gen-world", "rays", {"n_rays": 40.9}),
+            ("gen-world", "rays", {"n_rays": True}),
+            ("gen-world", "world", {"extent_m": [6, 4, 3]}),
+            ("gen-world", "world", {"extent_m": "ab"}),
+            # out-of-range values, rejected before any command runs
+            ("sweep", "grid", {"cell_stride_m": 0}),
+            ("mine", "bench", {"n_worlds": 0}),
+            ("mine", "bench", {"n_anchors": 0}),
+            ("cast", "rays", {"n_rays": 1}),
+            ("cast", "rays", {"max_range_m": -1}),
+            ("sweep", "grid", {"n_orientations": 0}),
+        ],
+    )
+    def test_bad_value_is_config_error(
+        self, generated_world, tmp_path, command, section, override
+    ):
+        doc = json.loads(json.dumps(SMALL_WORLD))
+        doc["bench"] = {"n_queries": 2, "n_anchors": 2, "n_worlds": 1}
+        doc.setdefault(section, {}).update(override)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "cast":
+            argv += ["--map", str(generated_world / "map.pgm"), "--x", "3", "--y", "2"]
+        if command == "sweep":
+            argv += ["--param", "w", "--values", "0.5"]
+        assert main(argv) == EXIT_CONFIG
+        with open(out / "error.json") as fh:
+            error = json.load(fh)["error"]
+        assert error["exit"] == EXIT_CONFIG
+        assert error["type"] in ("ConfigurationError", "ValidationError")
 
     def test_runtime_error(self, generated_world, small_config_path, tmp_path):
         # casting from inside a wall is a runtime failure, not a config one
