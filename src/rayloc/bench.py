@@ -48,14 +48,15 @@ def build_benchmark(
     crop_spec: CropSpec = CropSpec(),
     embed_dim: int = 64,
     embed_seed: int = 7,
+    threads: int = 1,
 ) -> Benchmark:
-    """Generate the world and precompute the rendered-fan table once."""
+    """Generate the world and build the rendered-fan table once, on `threads` threads."""
     plan, poses = generate_world(world)
     if cell_stride is None:
         cell_stride = default_cell_stride(plan.resolution)
     grid = PoseGridSpec(cell_stride=cell_stride, n_orientations=n_orientations)
     scorer = GridScorer(
-        plan, grid, n_rays=n_rays, fov=fov, max_range=max_range
+        plan, grid, n_rays=n_rays, fov=fov, max_range=max_range, threads=threads
     )
     embedder = RandomProjectionEmbedder(
         dim=embed_dim, seed=embed_seed, max_range=max_range
@@ -110,7 +111,6 @@ def run_query(
     noise: NoiseSpec = NoiseSpec(),
     seed: int = 0,
     config: DisambigConfig = DisambigConfig(),
-    threads: int = 1,
 ) -> tuple[LocalizationResult, EvalRecord, bool]:
     """Simulate one observation, localize it, and report (result, eval
     record, correct-room flag)."""
@@ -137,7 +137,6 @@ def run_query(
         n_rays=bench.n_rays,
         fov=bench.fov,
         max_range=bench.max_range,
-        threads=threads,
     )
     record = EvalRecord(predicted=result.pose, ground_truth=gt_pose)
     correct_room = room_of(bench.plan, result.pose) == room_of(bench.plan, gt_pose)
@@ -156,14 +155,11 @@ def run_benchmark(
     noise: NoiseSpec = NoiseSpec(),
     config: DisambigConfig = DisambigConfig(),
     seed: int = 0,
-    threads: int = 1,
 ) -> BenchmarkOutcome:
     records = []
     rooms = []
     for i, pose in enumerate(queries):
-        _, record, correct = run_query(
-            bench, pose, noise=noise, seed=seed + i, config=config, threads=threads
-        )
+        _, record, correct = run_query(bench, pose, noise=noise, seed=seed + i, config=config)
         records.append(record)
         rooms.append(correct)
     return BenchmarkOutcome(
@@ -179,7 +175,6 @@ def sweep(
     noise: NoiseSpec = NoiseSpec(),
     base_config: DisambigConfig = DisambigConfig(),
     seed: int = 0,
-    threads: int = 1,
 ) -> list[tuple[float, BenchmarkOutcome]]:
     """Re-run the benchmark for each value of one knob (w, x, or crop-m)."""
     rows = []
@@ -195,11 +190,6 @@ def sweep(
         else:
             raise ValidationError(f"unknown sweep parameter {param!r}")
         rows.append(
-            (
-                float(value),
-                run_benchmark(
-                    b, queries, noise=noise, config=config, seed=seed, threads=threads
-                ),
-            )
+            (float(value), run_benchmark(b, queries, noise=noise, config=config, seed=seed))
         )
     return rows

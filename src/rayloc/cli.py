@@ -2,7 +2,7 @@
 
 Every command reads an optional JSON run config (--config), writes its
 artifacts plus the fully resolved config into --out, and is deterministic
-for a fixed config and seed regardless of --threads.
+for a fixed config and seed; --threads only sets table-build worker threads.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ from .floorplan import (
     write_pgm,
 )
 from .metrics import EvalRecord, evaluate
-from .scoring import PoseGridSpec, default_cell_stride, probmap_graymap, write_probmap
+from .scoring import GridScorer, PoseGridSpec, default_cell_stride
+from .scoring import probmap_graymap, write_probmap
 from .synth import (
     NoiseSpec,
     ObservationSignature,
@@ -166,17 +167,20 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 def _load_signature(path: str) -> ObservationSignature:
     with open(_require_file(path), "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return ObservationSignature(
-        depths=np.asarray(doc["depths_m"], dtype=float),
-        texture_counts=np.asarray(doc["texture_counts"], dtype=np.int64),
-        fov=float(doc["fov_rad"]),
-        max_range=float(doc["max_range_m"]),
-        noise=NoiseSpec(
-            depth_sigma=float(doc["noise"]["depth_sigma_m"]),
-            dropout=float(doc["noise"]["dropout"]),
-        ),
-    )
+        try:
+            doc = json.load(fh)
+            return ObservationSignature(
+                depths=np.asarray(doc["depths_m"], dtype=float),
+                texture_counts=np.asarray(doc["texture_counts"], dtype=np.int64),
+                fov=float(doc["fov_rad"]),
+                max_range=float(doc["max_range_m"]),
+                noise=NoiseSpec(
+                    depth_sigma=float(doc["noise"]["depth_sigma_m"]),
+                    dropout=float(doc["noise"]["dropout"]),
+                ),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: malformed signature: {exc!r}") from exc
 
 
 def _read_depth_csv(path: str) -> np.ndarray:
@@ -184,7 +188,13 @@ def _read_depth_csv(path: str) -> np.ndarray:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "depth_m" not in reader.fieldnames:
             raise FormatError(f"{path}: expected a depth_m column")
-        return np.asarray([float(row["depth_m"]) for row in reader])
+        try:
+            depths = np.asarray([float(row["depth_m"]) for row in reader])
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: malformed depth_m value: {exc}") from exc
+    if not np.all(np.isfinite(depths)):
+        raise FormatError(f"{path}: depth_m values must be finite")
+    return depths
 
 
 def cmd_localize(cfg: RunConfig, args) -> int:
@@ -213,19 +223,21 @@ def cmd_localize(cfg: RunConfig, args) -> int:
     if args.crop_m is not None:
         crop_spec = replace(crop_spec, side_m=args.crop_m)
 
+    grid = _grid_for(cfg, plan)
+    scorer = GridScorer(
+        plan, grid, n_rays=cfg.rays.n_rays, fov=cfg.rays.fov,
+        max_range=cfg.rays.max_range_m, threads=args.threads,
+    )
     result = localize(
         plan,
         pred,
-        _grid_for(cfg, plan),
+        grid,
         query_embedding,
         embedder.embed_crop,
         config=disambig,
         crop_spec=crop_spec,
         sigma=cfg.bench.sigma_m,
-        n_rays=cfg.rays.n_rays,
-        fov=cfg.rays.fov,
-        max_range=cfg.rays.max_range_m,
-        threads=args.threads,
+        scorer=scorer,
     )
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "pose.json"), _pose_doc(result.pose))
@@ -412,6 +424,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         crop_spec=cfg.crop,
         embed_dim=cfg.embedder.dim,
         embed_seed=cfg.embedder.seed,
+        threads=args.threads,
     )
     queries = bench_mod.sample_queries(bench, cfg.bench.n_queries, cfg.bench.query_seed)
     rows = bench_mod.sweep(
@@ -422,7 +435,6 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         noise=cfg.noise,
         base_config=cfg.disambig,
         seed=cfg.seed,
-        threads=args.threads,
     )
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "sweep.csv"), "w", newline="") as fh:
@@ -471,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON run config")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("gen-world", help="generate a synthetic floorplan")
     common(p)
@@ -492,6 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("localize", help="run the full localization pipeline")
     common(p)
+    p.add_argument("--threads", type=int, default=1, help="table-build worker threads")
     p.add_argument("--map", required=True)
     p.add_argument("--rays", required=True, help="CSV with a depth_m column")
     p.add_argument("--signature", default=None, help="signature JSON from simulate")
@@ -514,6 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="re-run the benchmark over one parameter")
     common(p)
+    p.add_argument("--threads", type=int, default=1, help="table-build worker threads")
     p.add_argument("--param", choices=["w", "x", "crop-m"], required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
 
@@ -550,6 +563,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
+        if getattr(args, "threads", 1) < 1:
+            raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
     except FileNotFoundError as exc:
         _emit_error(args, EXIT_MISSING, exc)
         return EXIT_MISSING

@@ -96,6 +96,8 @@ class BenchParams:
         for name in ("n_queries", "n_worlds", "n_anchors"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.query_seed < 0:
+            raise ValidationError(f"query_seed must be >= 0, got {self.query_seed}")
         if not self.sigma_m > 0:
             raise ValidationError(f"sigma_m must be > 0, got {self.sigma_m}")
 
@@ -108,6 +110,8 @@ class EmbedderParams:
     def __post_init__(self):
         if self.dim < 2:
             raise ValidationError(f"dim must be >= 2, got {self.dim}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 # section -> (dataclass, {JSON key: (dataclass field, converter)}); the
@@ -189,6 +193,10 @@ class RunConfig:
     embedder: EmbedderParams = EmbedderParams()
     bench: BenchParams = BenchParams()
     seed: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     def resolved(self) -> dict:
         """Fully resolved document for echoing into the run directory."""

@@ -65,6 +65,8 @@ class MiningSpec:
             raise ValidationError("negative counts must be >= 0")
         if self.n_inner + self.n_cross + self.n_ori < 1:
             raise ValidationError("at least one negative sample is required")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@ depth posterior, and the end-to-end localization pipeline."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,13 +104,11 @@ def localize(
     n_rays: int = DEFAULT_N_RAYS,
     fov: float = DEFAULT_FOV,
     max_range: float = DEFAULT_MAX_RANGE,
-    threads: int = 1,
 ) -> LocalizationResult:
     """End-to-end single-frame localization.
 
-    Depth posterior -> top-X candidates -> per-candidate crops (parallel when
-    threads > 1; output order is candidate order either way) -> similarity
-    map -> fusion -> final pose.
+    Depth posterior -> top-X candidates -> per-candidate crop embeddings, in
+    candidate order -> similarity map -> fusion -> final pose.
     """
     dafpm = build_dafpm(
         plan, pred_depths, grid, sigma=sigma, scorer=scorer,
@@ -119,14 +116,12 @@ def localize(
     )
     candidates = top_x(dafpm, config.x)
 
-    def embed_candidate(pose: Pose) -> np.ndarray:
-        return np.asarray(crop_embedder(extract_crop(plan, pose, crop_spec)))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            crop_embeddings = np.stack(list(pool.map(embed_candidate, candidates.poses)))
-    else:
-        crop_embeddings = np.stack([embed_candidate(p) for p in candidates.poses])
+    crop_embeddings = np.stack(
+        [
+            np.asarray(crop_embedder(extract_crop(plan, pose, crop_spec)))
+            for pose in candidates.poses
+        ]
+    )
 
     dpm = build_dpm(query_embedding, crop_embeddings, config.softmax_temperature)
     pose, fused = fuse_and_select(candidates, dpm, config)

@@ -457,12 +457,21 @@ def load_floorplan(path: str) -> FloorPlan:
     except json.JSONDecodeError as exc:
         raise FormatError(f"corrupt metadata {meta_path}: {exc}") from exc
 
-    if "resolution_m" not in meta:
+    if not isinstance(meta, dict) or "resolution_m" not in meta:
         raise FormatError(f"{meta_path}: missing resolution_m")
-    resolution = float(meta["resolution_m"])
+    try:
+        resolution = float(meta["resolution_m"])
+        origin_x, origin_y = (float(v) for v in meta.get("origin_m", [0.0, 0.0]))
+    except (TypeError, ValueError) as exc:
+        raise FormatError(
+            f"{meta_path}: resolution_m must be a number and origin_m a pair "
+            f"of numbers ({exc})"
+        ) from exc
+    if not all(map(math.isfinite, (resolution, origin_x, origin_y))):
+        raise FormatError(f"{meta_path}: resolution_m and origin_m must be finite")
     if resolution <= 0:
         raise ValidationError(f"{meta_path}: resolution_m must be > 0")
-    origin = tuple(float(v) for v in meta.get("origin_m", [0.0, 0.0]))
+    origin = (origin_x, origin_y)
 
     texture = None
     tex_path = meta.get("texture_path")

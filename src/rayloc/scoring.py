@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,8 @@ DEPTH_QUANTUM = 1e-6  # meters; depths are quantized before comparison so that
 # congruent geometry produces exactly tied scores (tie-break is then by index)
 
 PROBMAP_MAGIC = b"DPMF"
+
+BLOCK_RAYS = 100_000  # rays cast per table-build block, rounded down to whole cells
 
 
 def default_cell_stride(resolution: float) -> float:
@@ -93,7 +96,7 @@ class ProbMap:
         if np.any(values[~mask] != 0):
             raise ValidationError("masked entries must be exactly 0")
         total = values.sum()
-        if abs(total - 1.0) > 1e-6:
+        if not abs(total - 1.0) <= 1e-6:
             raise ValidationError(f"probabilities must sum to 1, got {total}")
         values = values.copy()
         values.setflags(write=False)
@@ -153,7 +156,8 @@ class GridScorer:
 
     The table is the expensive part (one cast per free cell x orientation x
     ray); queries against it are cheap, so one scorer serves any number of
-    localizations on the same map.
+    localizations on the same map. The table is filled in blocks of whole free
+    cells on `threads` worker threads and does not depend on their count.
     """
 
     def __init__(
@@ -163,8 +167,10 @@ class GridScorer:
         n_rays: int = DEFAULT_N_RAYS,
         fov: float = DEFAULT_FOV,
         max_range: float = DEFAULT_MAX_RANGE,
-        chunk: int = 2_000_000,
+        threads: int = 1,
     ):
+        if threads < 1:
+            raise ValidationError(f"threads must be >= 1, got {threads}")
         self.plan = plan
         self.grid = grid
         self.n_rays = n_rays
@@ -187,25 +193,24 @@ class GridScorer:
         self.free_x = xs[self.free_rc[:, 1]]
 
         n_free = self.free_rc.shape[0]
-        n_ori = grid.n_orientations
         thetas = grid.orientation_centers()
-        # bearings per orientation bin, (n_ori, n_rays)
-        bearings = np.stack([ray_bearings(t, n_rays, fov) for t in thetas])
+        # bearings of one cell's rays, orientation-major: (n_ori * n_rays,)
+        bearings = np.concatenate([ray_bearings(t, n_rays, fov) for t in thetas])
+        per_cell = bearings.size
+        cells = max(1, BLOCK_RAYS // per_cell)
+        table = np.empty((n_free, grid.n_orientations, n_rays), dtype=float)
 
-        table = np.empty((n_free, n_ori, n_rays), dtype=float)
-        ray_x = np.repeat(self.free_x, n_ori * n_rays)
-        ray_y = np.repeat(self.free_y, n_ori * n_rays)
-        ray_b = np.tile(bearings.ravel(), n_free)
-        total = ray_x.size
-        flat = table.reshape(-1)
-        for start in range(0, total, chunk):
-            stop = min(start + chunk, total)
+        def fill(lo: int) -> None:
+            x, y = self.free_x[lo : lo + cells], self.free_y[lo : lo + cells]
             d, _ = cast_rays(
-                plan, ray_x[start:stop], ray_y[start:stop], ray_b[start:stop], max_range
+                plan, np.repeat(x, per_cell), np.repeat(y, per_cell),
+                np.tile(bearings, x.size), max_range,
             )
-            flat[start:stop] = d
-        np.round(table / DEPTH_QUANTUM, out=table)
-        table *= DEPTH_QUANTUM
+            d = np.round(d / DEPTH_QUANTUM) * DEPTH_QUANTUM
+            table[lo : lo + x.size] = d.reshape(x.size, *table.shape[1:])
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(fill, range(0, n_free, cells)))
         self.table = table
 
     @property
@@ -220,6 +225,11 @@ class GridScorer:
         if pred.size != self.n_rays:
             raise ValidationError(
                 f"predicted fan has {pred.size} rays, scorer expects {self.n_rays}"
+            )
+        # same tolerance as RayFan: decoded depths can sit an ulp above max_range
+        if not np.all((pred >= 0) & (pred <= self.max_range + 1e-12)):
+            raise ValidationError(
+                f"predicted depths must be finite and lie in [0, {self.max_range}]"
             )
         pred = np.round(pred / DEPTH_QUANTUM) * DEPTH_QUANTUM
         err = np.abs(self.table - pred).mean(axis=2)  # (n_free, n_ori)

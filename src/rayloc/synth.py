@@ -53,6 +53,8 @@ class WorldSpec:
             raise ValidationError("resolution must be > 0")
         if self.texture_policy not in ("distinct", "none"):
             raise ValidationError(f"unknown texture policy {self.texture_policy!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rayloc.cli import EXIT_CONFIG, EXIT_MISSING, EXIT_RUNTIME, main
+from rayloc.cli import EXIT_CONFIG, EXIT_MISSING, EXIT_RUNTIME, build_parser, main
 from rayloc.config import SCHEMA, _integer, _number, _pair, load_config, parse_config
 from rayloc.errors import ConfigurationError, RaylocError, ValidationError
 from rayloc.floorplan import cast_ray, load_floorplan
@@ -504,6 +504,11 @@ class TestCliExitCodes:
             ("cast", "rays", {"n_rays": 1}),
             ("cast", "rays", {"max_range_m": -1}),
             ("sweep", "grid", {"n_orientations": 0}),
+            # negative seeds, which NumPy's seeding would reject with a traceback
+            ("gen-world", "world", {"seed": -1}),
+            ("mine", "mining", {"seed": -3}),
+            ("train-embedder", "embedder", {"seed": -1}),
+            ("sweep", "bench", {"query_seed": -1}),
         ],
     )
     def test_bad_value_is_config_error(
@@ -544,3 +549,146 @@ class TestCliExitCodes:
             ]
         )
         assert code == EXIT_RUNTIME
+
+
+def _localize(config, map_path, rays, signature, out, *extra) -> list[str]:
+    return [
+        "localize", "--config", str(config), "--map", str(map_path),
+        "--rays", str(rays), "--signature", str(signature), "--out", str(out), *extra,
+    ]
+
+
+def _error(out) -> dict:
+    with open(out / "error.json") as fh:
+        return json.load(fh)["error"]
+
+
+class TestCliInputErrors:
+    @pytest.mark.parametrize("argv,doc", [(["--seed", "-2"], {}), ([], {"seed": -1})])
+    def test_negative_run_seed_is_config_error(self, tmp_path, argv, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["gen-world", *argv, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        error = _error(out)
+        assert error["exit"] == EXIT_CONFIG
+        assert "seed must be >= 0" in error["message"]
+
+    @pytest.mark.parametrize(
+        "target,content",
+        [
+            ("map.json", '{"resolution_m": "abc"}'),
+            ("map.json", '{"resolution_m": 0.1, "origin_m": "ab"}'),
+            ("map.json", '{"resolution_m": 0.1, "origin_m": [0.0]}'),
+            ("map.json", "5"),
+            ("map.json", '{"resolution_m": NaN}'),
+            ("map.json", '{"resolution_m": 0.1, "origin_m": [0.0, Infinity]}'),
+            ("rays.csv", "ray,depth_m\n0,abc\n"),
+            ("rays.csv", "ray,depth_m\n0\n"),
+            ("rays.csv", "nan"),
+            ("rays.csv", "inf"),
+            ("signature.json", "drop:fov_rad"),
+            ("signature.json", "drop:noise"),
+            ("signature.json", '{"depths_m": [1.0]'),
+        ],
+    )
+    def test_malformed_input_file_is_format_error(
+        self, generated_world, small_config_path, simulated, tmp_path, target, content
+    ):
+        sim_out, _ = simulated
+        for name in ("map.pgm", "map.json", "map_texture.pgm"):
+            (tmp_path / name).write_bytes((generated_world / name).read_bytes())
+        for name in ("rays.csv", "signature.json"):
+            (tmp_path / name).write_bytes((sim_out / name).read_bytes())
+        path = tmp_path / target
+        if content.startswith("drop:"):
+            doc = json.loads(path.read_text())
+            del doc[content[len("drop:"):]]
+            content = json.dumps(doc)
+        elif content in ("nan", "inf"):
+            lines = path.read_text().splitlines()
+            lines[5] = f"4,{content}"
+            content = "\n".join(lines) + "\n"
+        path.write_text(content)
+        out = tmp_path / "o"
+        argv = _localize(
+            small_config_path, tmp_path / "map.pgm", tmp_path / "rays.csv",
+            tmp_path / "signature.json", out,
+        )
+        assert main(argv) == EXIT_MISSING
+        error = _error(out)
+        assert error["exit"] == EXIT_MISSING
+        assert error["type"] == "FormatError"
+
+    def test_depth_beyond_range_is_runtime_error(
+        self, generated_world, small_config_path, simulated, tmp_path
+    ):
+        sim_out, _ = simulated
+        for bad in ("-0.5", "10.5"):
+            rays = tmp_path / f"rays{bad}.csv"
+            lines = (sim_out / "rays.csv").read_text().splitlines()
+            lines[2] = f"1,{bad}"
+            rays.write_text("\n".join(lines) + "\n")
+            out = tmp_path / f"o{bad}"
+            argv = _localize(
+                small_config_path, generated_world / "map.pgm", rays,
+                sim_out / "signature.json", out,
+            )
+            assert main(argv) == EXIT_RUNTIME
+            error = _error(out)
+            assert error["type"] == "ValidationError"
+            assert not (out / "pose.json").exists()
+
+    @pytest.mark.parametrize("command", ["localize", "sweep"])
+    def test_threads_below_one_is_config_error(
+        self, generated_world, small_config_path, simulated, tmp_path, command
+    ):
+        sim_out, _ = simulated
+        out = tmp_path / "o"
+        if command == "localize":
+            argv = _localize(
+                small_config_path, generated_world / "map.pgm", sim_out / "rays.csv",
+                sim_out / "signature.json", out,
+            )
+        else:
+            argv = ["sweep", "--param", "w", "--values", "0.5", "--out", str(out)]
+        assert main([*argv, "--threads", "0"]) == EXIT_CONFIG
+        error = _error(out)
+        assert error["exit"] == EXIT_CONFIG
+        assert "--threads" in error["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-world"],
+            ["cast", "--map", "m.pgm", "--x", "1", "--y", "1"],
+            ["simulate", "--map", "m.pgm", "--x", "1", "--y", "1"],
+            ["mine"],
+            ["train-embedder"],
+            ["eval", "--predictions", "p.csv"],
+        ],
+    )
+    def test_threads_only_on_table_building_commands(self, argv):
+        parser = build_parser()
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*argv, "--threads", "2"])
+        assert exc.value.code == 2
+        sweep = ["sweep", "--param", "w", "--values", "0", "--threads", "2"]
+        assert parser.parse_args(sweep).threads == 2
+
+    def test_localize_threads_do_not_change_output(
+        self, generated_world, small_config_path, simulated, tmp_path
+    ):
+        sim_out, _ = simulated
+        outputs = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"t{threads}"
+            argv = _localize(
+                small_config_path, generated_world / "map.pgm", sim_out / "rays.csv",
+                sim_out / "signature.json", out, "--threads", threads,
+            )
+            assert main(argv) == 0
+            outputs.append(
+                [(out / n).read_bytes() for n in ("pose.json", "dafpm.dpmf", "candidates.csv")]
+            )
+        assert outputs[0] == outputs[1]

@@ -141,15 +141,6 @@ class TestLocalizePipeline:
         rows, cols = grid.shape_for(plan)
         assert len(result.candidates) <= rows * cols * grid.n_orientations
 
-    def test_threads_do_not_change_output(self, setup):
-        plan, grid, embedder, gt, pred, query = setup
-        kwargs = dict(config=DisambigConfig(x=15), n_rays=24)
-        a = localize(plan, pred, grid, query, embedder.embed_crop, threads=1, **kwargs)
-        b = localize(plan, pred, grid, query, embedder.embed_crop, threads=4, **kwargs)
-        assert a.pose == b.pose
-        assert np.array_equal(a.fused, b.fused)
-        assert np.array_equal(a.dpm, b.dpm)
-
     def test_w_zero_equals_depth_argmax(self, setup):
         plan, grid, embedder, gt, pred, query = setup
         result = localize(

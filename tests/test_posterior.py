@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rayloc import scoring
 from rayloc.errors import EmptyDomainError, FormatError, ValidationError
-from rayloc.floorplan import Pose, render_gt_rays
+from rayloc.floorplan import Pose, cast_rays, ray_bearings, render_gt_rays
 from rayloc.scoring import (
     DEPTH_QUANTUM,
     CandidateSet,
@@ -70,6 +73,11 @@ class TestProbMap:
 
         with pytest.raises(ValidationError):
             ProbMap(values=good * 2, spec=spec, mask=mask)  # sums to 2
+
+        nan = good.copy()
+        nan[0, 0, 0] = np.nan  # a NaN total must not pass the sum check
+        with pytest.raises(ValidationError, match="sum to 1"):
+            ProbMap(values=nan, spec=spec, mask=mask)
 
         neg = good.copy()
         neg[0, 0, 0] = -0.5
@@ -149,6 +157,29 @@ class TestGridScorer:
         with pytest.raises(ValidationError):
             scorer.score(np.ones(8), sigma=0.0)
 
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, -1e-9, 10.0 + 1e-9]
+    )
+    def test_depths_outside_range_rejected(self, world, bad):
+        plan, _ = world
+        scorer = GridScorer(plan, PoseGridSpec(0.5, 2), n_rays=8, max_range=10.0)
+        pred = np.full(8, 2.0)
+        pred[3] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            scorer.score(pred)
+
+    def test_depths_at_range_accepted(self, world):
+        plan, _ = world
+        scorer = GridScorer(plan, PoseGridSpec(0.5, 2), n_rays=8, max_range=10.0)
+        # decoded depths may sit an ulp above max_range, as RayFan allows
+        pred = np.array([0.0, 10.0, np.nextafter(10.0, 11.0)] + [5.0] * 5)
+        assert np.isfinite(scorer.score(pred).values).all()
+
+    def test_threads_validated(self, world):
+        plan, _ = world
+        with pytest.raises(ValidationError, match="threads"):
+            GridScorer(plan, PoseGridSpec(0.5, 2), n_rays=8, threads=0)
+
     def test_build_dafpm_uses_prebuilt_scorer(self, world):
         plan, poses = world
         grid = PoseGridSpec(cell_stride=0.3, n_orientations=4)
@@ -157,6 +188,59 @@ class TestGridScorer:
         a = build_dafpm(plan, fan.depths, grid, scorer=scorer)
         b = build_dafpm(plan, fan.depths, grid, n_rays=12)
         assert np.array_equal(a.values, b.values)
+
+
+def _reference_table(scorer: GridScorer) -> np.ndarray:
+    """The table cast in one cast_rays call over every ray, quantized."""
+    bearings = np.stack(
+        [
+            ray_bearings(t, scorer.n_rays, scorer.fov)
+            for t in scorer.grid.orientation_centers()
+        ]
+    ).ravel()
+    depths, _ = cast_rays(
+        scorer.plan,
+        np.repeat(scorer.free_x, bearings.size),
+        np.repeat(scorer.free_y, bearings.size),
+        np.tile(bearings, scorer.n_free),
+        scorer.max_range,
+    )
+    depths = np.round(depths / DEPTH_QUANTUM) * DEPTH_QUANTUM
+    return depths.reshape(scorer.table.shape)
+
+
+class TestBlockedTableBuild:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        extent=st.tuples(st.sampled_from([4.0, 5.0, 6.0]), st.sampled_from([3.0, 4.0])),
+        seed=st.integers(0, 50),
+        stride=st.sampled_from([0.2, 0.3, 0.45]),
+        n_ori=st.integers(1, 8),
+        n_rays=st.integers(2, 12),
+        max_range=st.sampled_from([1.5, 10.0]),
+        threads=st.sampled_from([1, 2, 3]),
+        block_cells=st.integers(1, 4),
+        spare_rays=st.integers(0, 95),
+    )
+    def test_matches_single_cast(
+        self, extent, seed, stride, n_ori, n_rays, max_range, threads,
+        block_cells, spare_rays,
+    ):
+        plan, _ = generate_world(
+            WorldSpec(layout="random-partition", extent=extent, seed=seed)
+        )
+        grid = PoseGridSpec(cell_stride=stride, n_orientations=n_ori)
+        per_cell = n_ori * n_rays
+        with pytest.MonkeyPatch.context() as mp:
+            # a few cells per block, plus rays that must round down to whole cells
+            mp.setattr(
+                scoring, "BLOCK_RAYS", block_cells * per_cell + spare_rays % per_cell
+            )
+            scorer = GridScorer(
+                plan, grid, n_rays=n_rays, max_range=max_range, threads=threads
+            )
+        assert scorer.n_free > 2 * block_cells  # several blocks, the last ragged or not
+        assert scorer.table.tobytes() == _reference_table(scorer).tobytes()
 
 
 class TestSelection:
