@@ -40,7 +40,7 @@ from .floorplan import (
     write_pgm,
 )
 from .metrics import EvalRecord, evaluate
-from .scoring import GridScorer, PoseGridSpec, default_cell_stride
+from .scoring import GridScorer, PoseGridSpec, check_depth_range, default_cell_stride
 from .scoring import probmap_graymap, write_probmap
 from .synth import (
     NoiseSpec,
@@ -204,6 +204,7 @@ def cmd_localize(cfg: RunConfig, args) -> int:
         raise ConfigurationError(
             f"rays file has {pred.size} rays, config expects {cfg.rays.n_rays}"
         )
+    check_depth_range(pred, cfg.rays.max_range_m)  # before the table build
     embedder = RandomProjectionEmbedder(
         dim=cfg.embedder.dim, seed=cfg.embedder.seed, max_range=cfg.rays.max_range_m
     )

@@ -113,14 +113,22 @@ class ContrastiveBatch:
             raise ValidationError("batch needs at least one negative embedding")
         if not self.tau > 0:
             raise ValidationError("tau must be > 0")
+        for name, arr in arrays.items():
+            # an empty family keeps the embedding width
+            object.__setattr__(self, name, arr if arr.size else np.zeros((0, dim)))
+        n_anchors, n_positives = len(self.anchors), len(self.positives)
         pairs = self.pairs
         if pairs is None:
-            if arrays["anchors"].shape[0] != arrays["positives"].shape[0]:
+            if n_anchors != n_positives:
                 raise ValidationError("default pairing needs equal anchor/positive counts")
-            pairs = tuple((j, j) for j in range(arrays["anchors"].shape[0]))
-        for name, arr in arrays.items():
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "pairs", tuple((int(j), int(l)) for j, l in pairs))
+            pairs = tuple((j, j) for j in range(n_anchors))
+        pairs = tuple((int(j), int(l)) for j, l in pairs)
+        for j, l in pairs:
+            if not (0 <= j < n_anchors and 0 <= l < n_positives):
+                raise ValidationError(
+                    f"pair {(j, l)} out of range: {n_anchors} anchors, {n_positives} positives"
+                )
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def dim(self) -> int:
@@ -130,6 +138,35 @@ class ContrastiveBatch:
 # ---------------------------------------------------------------------------
 # Loss and analytic gradients
 # ---------------------------------------------------------------------------
+
+
+def _check_denominator(denominator: str) -> None:
+    if denominator not in (DENOM_NEGATIVES_ONLY, DENOM_WITH_POSITIVE):
+        raise ValidationError(f"unknown denominator mode {denominator!r}")
+
+
+def _nce_kernel(logits: np.ndarray, denominator: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row loss and its gradient with respect to the (J, 1 + M) logits:
+    column 0 is the positive, the rest are negatives and -inf marks a padded
+    slot. Each row's log-sum-exp is shifted by its maximum, so a small tau
+    cannot overflow."""
+    _check_denominator(denominator)
+    start = 0 if denominator == DENOM_WITH_POSITIVE else 1
+    scored = logits[:, start:]
+    m = scored.max(axis=1, keepdims=True)
+    log_z = m[:, 0] + np.log(np.exp(scored - m).sum(axis=1))
+    d_logits = np.zeros_like(logits)
+    d_logits[:, start:] = np.exp(scored - log_z[:, None])
+    d_logits[:, 0] -= 1.0
+    return -logits[:, 0] + log_z, d_logits
+
+
+def _pair_logits(anchors, positives, pos_negs, ori_negs, pairs, tau):
+    """One kernel row per pair: anchor . positive, then anchor . each negative."""
+    j, l = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    a = anchors[j]
+    s = np.einsum("pe,pe->p", a, positives[l])
+    return j, l, np.hstack([s[:, None], a @ pos_negs.T, a @ ori_negs.T]) / tau
 
 
 def _nce_loss_raw(
@@ -143,22 +180,16 @@ def _nce_loss_raw(
 ) -> float:
     """Loss on raw arrays without norm validation (finite differences need to
     evaluate at slightly off-sphere points)."""
-    total = 0.0
-    exp_p = np.exp(anchors @ pos_negs.T / tau) if pos_negs.size else np.zeros((anchors.shape[0], 0))
-    exp_a = np.exp(anchors @ ori_negs.T / tau) if ori_negs.size else np.zeros((anchors.shape[0], 0))
-    z = exp_p.sum(axis=1) + exp_a.sum(axis=1)
-    for j, l in pairs:
-        s = float(anchors[j] @ positives[l])
-        denom = z[j]
-        if denominator == DENOM_WITH_POSITIVE:
-            denom = denom + math.exp(s / tau)
-        total += -(s / tau) + math.log(denom)
-    return total
+    _, _, logits = _pair_logits(anchors, positives, pos_negs, ori_negs, pairs, tau)
+    return float(_nce_kernel(logits, denominator)[0].sum())
 
 
-def _check_denominator(denominator: str) -> None:
-    if denominator not in (DENOM_NEGATIVES_ONLY, DENOM_WITH_POSITIVE):
-        raise ValidationError(f"unknown denominator mode {denominator!r}")
+def _raw_args(batch: ContrastiveBatch) -> tuple:
+    """A batch's embeddings, pairs and tau in the raw functions' argument order."""
+    return (
+        batch.anchors, batch.positives, batch.position_negatives,
+        batch.orientation_negatives, batch.pairs, batch.tau,
+    )
 
 
 def point_info_nce(
@@ -170,16 +201,7 @@ def point_info_nce(
     exponentiated negative similarities alone; "with-positive" adds the
     positive term to the denominator (the standard InfoNCE form).
     """
-    _check_denominator(denominator)
-    return _nce_loss_raw(
-        batch.anchors,
-        batch.positives,
-        batch.position_negatives,
-        batch.orientation_negatives,
-        batch.pairs,
-        batch.tau,
-        denominator,
-    )
+    return _nce_loss_raw(*_raw_args(batch), denominator)
 
 
 def _nce_grad_raw(
@@ -191,39 +213,19 @@ def _nce_grad_raw(
     tau: float,
     denominator: str,
 ) -> dict[str, np.ndarray]:
+    j, l, logits = _pair_logits(anchors, positives, pos_negs, ori_negs, pairs, tau)
+    d = _nce_kernel(logits, denominator)[1] / tau
+    a = anchors[j]
+    d_pn, d_on = d[:, 1 : 1 + len(pos_negs)], d[:, 1 + len(pos_negs) :]
     g_anchor = np.zeros_like(anchors)
+    np.add.at(g_anchor, j, d[:, :1] * positives[l] + d_pn @ pos_negs + d_on @ ori_negs)
     g_pos = np.zeros_like(positives)
-    g_pneg = np.zeros_like(pos_negs)
-    g_aneg = np.zeros_like(ori_negs)
-
-    exp_p = np.exp(anchors @ pos_negs.T / tau) if pos_negs.size else np.zeros((anchors.shape[0], 0))
-    exp_a = np.exp(anchors @ ori_negs.T / tau) if ori_negs.size else np.zeros((anchors.shape[0], 0))
-    z = exp_p.sum(axis=1) + exp_a.sum(axis=1)
-
-    for j, l in pairs:
-        s = float(anchors[j] @ positives[l])
-        if denominator == DENOM_WITH_POSITIVE:
-            e_pos = math.exp(s / tau)
-            denom = z[j] + e_pos
-            ds = (-1.0 + e_pos / denom) / tau
-        else:
-            denom = z[j]
-            ds = -1.0 / tau
-        g_anchor[j] += ds * positives[l]
-        g_pos[l] += ds * anchors[j]
-        if pos_negs.size:
-            w = exp_p[j] / (tau * denom)  # (Mp,)
-            g_anchor[j] += w @ pos_negs
-            g_pneg += np.outer(w, anchors[j])
-        if ori_negs.size:
-            w = exp_a[j] / (tau * denom)
-            g_anchor[j] += w @ ori_negs
-            g_aneg += np.outer(w, anchors[j])
+    np.add.at(g_pos, l, d[:, :1] * a)
     return {
         "anchors": g_anchor,
         "positives": g_pos,
-        "position_negatives": g_pneg,
-        "orientation_negatives": g_aneg,
+        "position_negatives": d_pn.T @ a,
+        "orientation_negatives": d_on.T @ a,
     }
 
 
@@ -231,16 +233,7 @@ def point_info_nce_grad(
     batch: ContrastiveBatch, denominator: str = DENOM_NEGATIVES_ONLY
 ) -> dict[str, np.ndarray]:
     """Exact gradient of point_info_nce with respect to every embedding."""
-    _check_denominator(denominator)
-    return _nce_grad_raw(
-        batch.anchors,
-        batch.positives,
-        batch.position_negatives,
-        batch.orientation_negatives,
-        batch.pairs,
-        batch.tau,
-        denominator,
-    )
+    return _nce_grad_raw(*_raw_args(batch), denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -445,27 +438,28 @@ def add_peer_negatives(
         raise ValidationError("samples and dataset must be aligned")
     if n_peers < 1:
         return list(samples)
-    candidates = list(range(len(samples))) if pool is None else list(pool)
+    candidates = np.arange(len(samples)) if pool is None else np.array(list(pool), dtype=int)
+    plan_ids = {}  # floorplans compare by identity, as in mine_samples
+    plan_of = np.array([plan_ids.setdefault(id(plan), len(plan_ids)) for plan, _ in dataset])
+    xy = np.array([(gt.x, gt.y) for _, gt in dataset]).reshape(-1, 2)
+    cand_plan, cand_xy = plan_of[candidates], xy[candidates]
     out = []
     for j, s in enumerate(samples):
-        plan, gt = dataset[j]
-        eligible = [
-            k
-            for k in candidates
-            if k != j
-            and (
-                dataset[k][0] is not plan
-                or math.hypot(dataset[k][1].x - gt.x, dataset[k][1].y - gt.y)
-                >= min_dist
-            )
-        ]
+        dx, dy = (cand_xy - xy[j]).T
+        dist = np.hypot(dx, dy)
+        # np.hypot and math.hypot can differ by an ulp; distances within
+        # rounding of min_dist are taken from math.hypot, the scalar definition
+        for i in np.flatnonzero(np.abs(dist - min_dist) <= 1e-12 * min_dist):
+            dist[i] = math.hypot(dx[i], dy[i])
+        far = (cand_plan != plan_of[j]) | (dist >= min_dist)
+        eligible = candidates[(candidates != j) & far]
         if len(eligible) < n_peers:
             raise MiningExhaustedError(
                 f"anchor {j}: only {len(eligible)} eligible peers for {n_peers} requested"
             )
         rng = np.random.default_rng(np.random.SeedSequence([seed, j]))
         peers = rng.choice(len(eligible), size=n_peers, replace=False)
-        extra = np.stack([samples[eligible[int(k)]].positive_features for k in peers])
+        extra = np.stack([samples[eligible[k]].positive_features for k in peers])
         out.append(
             TrainingSample(
                 anchor_embedding=s.anchor_embedding,
@@ -572,20 +566,7 @@ def _train_batched(
         g3 = g.reshape(n, n_crops, -1)
         sims = np.einsum("se,sce->sc", anchors, g3) / tau  # (S, C)
         sims[~valid] = -np.inf
-        s_neg = sims[:, 1:]
-        if denominator == DENOM_WITH_POSITIVE:
-            m = sims.max(axis=1, keepdims=True)
-            log_z = m[:, 0] + np.log(np.exp(sims - m).sum(axis=1))
-            p = np.exp(sims - log_z[:, None])  # softmax over all crops
-            d_sims = p.copy()
-            d_sims[:, 0] -= 1.0
-        else:
-            m = s_neg.max(axis=1, keepdims=True)
-            log_z = m[:, 0] + np.log(np.exp(s_neg - m).sum(axis=1))
-            d_sims = np.empty_like(sims)
-            d_sims[:, 0] = -1.0
-            d_sims[:, 1:] = np.exp(s_neg - log_z[:, None])
-        losses = -sims[:, 0] + log_z
+        losses, d_sims = _nce_kernel(sims, denominator)
         mean_loss = float(losses.mean())
         if not math.isfinite(mean_loss):
             raise TrainingFailureError(epoch)

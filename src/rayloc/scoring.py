@@ -150,6 +150,13 @@ class CandidateSet:
         return len(self.poses)
 
 
+def check_depth_range(depths: np.ndarray, max_range: float) -> None:
+    """Reject predicted depths that are non-finite or outside [0, max_range]."""
+    # same tolerance as RayFan: decoded depths can sit an ulp above max_range
+    if not np.all((depths >= 0) & (depths <= max_range + 1e-12)):
+        raise ValidationError(f"predicted depths must be finite and lie in [0, {max_range}]")
+
+
 class GridScorer:
     """Precomputes the full table of rendered ray fans for one floorplan and
     one pose grid, then scores predicted fans against it.
@@ -226,11 +233,7 @@ class GridScorer:
             raise ValidationError(
                 f"predicted fan has {pred.size} rays, scorer expects {self.n_rays}"
             )
-        # same tolerance as RayFan: decoded depths can sit an ulp above max_range
-        if not np.all((pred >= 0) & (pred <= self.max_range + 1e-12)):
-            raise ValidationError(
-                f"predicted depths must be finite and lie in [0, {self.max_range}]"
-            )
+        check_depth_range(pred, self.max_range)
         pred = np.round(pred / DEPTH_QUANTUM) * DEPTH_QUANTUM
         err = np.abs(self.table - pred).mean(axis=2)  # (n_free, n_ori)
         scores = np.exp(-err / sigma)

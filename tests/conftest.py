@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rayloc.floorplan import FloorPlan
+
+# time per example varies with machine load, so a per-example deadline
+# would fail tests on timing alone
+settings.register_profile("rayloc", deadline=None)
+settings.load_profile("rayloc")
 
 
 @pytest.fixture()

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rayloc import cli
 from rayloc.cli import EXIT_CONFIG, EXIT_MISSING, EXIT_RUNTIME, build_parser, main
 from rayloc.config import SCHEMA, _integer, _number, _pair, load_config, parse_config
 from rayloc.errors import ConfigurationError, RaylocError, ValidationError
@@ -119,7 +120,7 @@ class TestParseConfig:
         assert cfg.disambig.w == 0.25
         assert cfg.seed == 7
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(doc=valid_documents())
     def test_resolved_round_trips(self, doc):
         cfg = parse_config(doc)
@@ -129,7 +130,7 @@ class TestParseConfig:
         for name, value in doc.items():
             assert echoed[name] == (value if name == "seed" else {**echoed[name], **value})
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(
         doc=valid_documents(),
         section=st.sampled_from(sorted(SCHEMA)),
@@ -621,8 +622,12 @@ class TestCliInputErrors:
         assert error["type"] == "FormatError"
 
     def test_depth_beyond_range_is_runtime_error(
-        self, generated_world, small_config_path, simulated, tmp_path
+        self, generated_world, small_config_path, simulated, tmp_path, monkeypatch
     ):
+        def no_table(*args, **kwargs):
+            raise AssertionError("rendered-fan table built before the depth check")
+
+        monkeypatch.setattr(cli, "GridScorer", no_table)
         sim_out, _ = simulated
         for bad in ("-0.5", "10.5"):
             rays = tmp_path / f"rays{bad}.csv"

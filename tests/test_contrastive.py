@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rayloc.contrastive import (
     DENOM_NEGATIVES_ONLY,
@@ -36,13 +38,70 @@ from rayloc.errors import (
     MiningExhaustedError,
     ValidationError,
 )
-from rayloc.floorplan import Pose
+from rayloc.floorplan import FloorPlan, Pose
 from rayloc.synth import WorldSpec, generate_world
 
 
 def _unit(rng, n, dim):
     v = rng.normal(size=(n, dim))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _reference_nce_loss(
+    anchors, positives, pos_negs, ori_negs, pairs, tau, denominator
+) -> float:
+    """Per-pair loop with unshifted exponentials, the oracle for the shared
+    kernel; it overflows for tau much below 0.05."""
+    total = 0.0
+    exp_p = np.exp(anchors @ pos_negs.T / tau) if pos_negs.size else np.zeros((anchors.shape[0], 0))
+    exp_a = np.exp(anchors @ ori_negs.T / tau) if ori_negs.size else np.zeros((anchors.shape[0], 0))
+    z = exp_p.sum(axis=1) + exp_a.sum(axis=1)
+    for j, l in pairs:
+        s = float(anchors[j] @ positives[l])
+        denom = z[j]
+        if denominator == DENOM_WITH_POSITIVE:
+            denom = denom + math.exp(s / tau)
+        total += -(s / tau) + math.log(denom)
+    return total
+
+
+def _reference_nce_grad(
+    anchors, positives, pos_negs, ori_negs, pairs, tau, denominator
+) -> dict:
+    g_anchor = np.zeros_like(anchors)
+    g_pos = np.zeros_like(positives)
+    g_pneg = np.zeros_like(pos_negs)
+    g_aneg = np.zeros_like(ori_negs)
+
+    exp_p = np.exp(anchors @ pos_negs.T / tau) if pos_negs.size else np.zeros((anchors.shape[0], 0))
+    exp_a = np.exp(anchors @ ori_negs.T / tau) if ori_negs.size else np.zeros((anchors.shape[0], 0))
+    z = exp_p.sum(axis=1) + exp_a.sum(axis=1)
+
+    for j, l in pairs:
+        s = float(anchors[j] @ positives[l])
+        if denominator == DENOM_WITH_POSITIVE:
+            e_pos = math.exp(s / tau)
+            denom = z[j] + e_pos
+            ds = (-1.0 + e_pos / denom) / tau
+        else:
+            denom = z[j]
+            ds = -1.0 / tau
+        g_anchor[j] += ds * positives[l]
+        g_pos[l] += ds * anchors[j]
+        if pos_negs.size:
+            w = exp_p[j] / (tau * denom)  # (Mp,)
+            g_anchor[j] += w @ pos_negs
+            g_pneg += np.outer(w, anchors[j])
+        if ori_negs.size:
+            w = exp_a[j] / (tau * denom)
+            g_anchor[j] += w @ ori_negs
+            g_aneg += np.outer(w, anchors[j])
+    return {
+        "anchors": g_anchor,
+        "positives": g_pos,
+        "position_negatives": g_pneg,
+        "orientation_negatives": g_aneg,
+    }
 
 
 class TestContrastiveBatch:
@@ -85,6 +144,32 @@ class TestContrastiveBatch:
                 tau=0.0,
             )
 
+    @pytest.mark.parametrize("pairs", [((5, 0),), ((-1, 0),), ((0, 0), (0, 2))])
+    def test_pair_indices_in_range(self, pairs):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValidationError, match="out of range"):
+            ContrastiveBatch(
+                anchors=_unit(rng, 2, 4),
+                positives=_unit(rng, 2, 4),
+                position_negatives=_unit(rng, 1, 4),
+                orientation_negatives=np.zeros((0, 4)),
+                pairs=pairs,
+            )
+
+    def test_empty_family_keeps_embedding_width(self):
+        rng = np.random.default_rng(0)
+        arrays = dict(
+            anchors=_unit(rng, 2, 4),
+            positives=_unit(rng, 2, 4),
+            position_negatives=_unit(rng, 3, 4),
+        )
+        batch = ContrastiveBatch(**arrays, orientation_negatives=[])
+        assert batch.orientation_negatives.shape == (0, 4)
+        grads = point_info_nce_grad(batch)
+        assert grads["orientation_negatives"].shape == (0, 4)
+        ref = ContrastiveBatch(**arrays, orientation_negatives=np.zeros((0, 4)))
+        assert point_info_nce(batch) == point_info_nce(ref)
+
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValidationError):
@@ -97,12 +182,12 @@ class TestContrastiveBatch:
 
 
 class TestLossValues:
-    def test_hand_computed_single_pair(self):
+    @pytest.mark.parametrize("tau", [0.1, 1e-3, 1e-4])
+    def test_hand_computed_single_pair(self, tau):
         # one anchor, one positive, one position negative in 2D
         anchor = np.array([[1.0, 0.0]])
         positive = np.array([[math.cos(0.2), math.sin(0.2)]])
         negative = np.array([[math.cos(1.3), math.sin(1.3)]])
-        tau = 0.1
         batch = ContrastiveBatch(
             anchors=anchor,
             positives=positive,
@@ -112,13 +197,18 @@ class TestLossValues:
         )
         s_pos = math.cos(0.2)
         s_neg = math.cos(1.3)
-        expect_neg_only = -s_pos / tau + math.log(math.exp(s_neg / tau))
-        expect_with_pos = -s_pos / tau + math.log(
-            math.exp(s_neg / tau) + math.exp(s_pos / tau)
-        )
+        expect_neg_only = (s_neg - s_pos) / tau
+        expect_with_pos = -s_pos / tau + np.logaddexp(s_neg / tau, s_pos / tau)
         assert point_info_nce(batch) == pytest.approx(expect_neg_only, rel=1e-12)
         assert point_info_nce(batch, DENOM_WITH_POSITIVE) == pytest.approx(
             expect_with_pos, rel=1e-12
+        )
+        for denominator in (DENOM_NEGATIVES_ONLY, DENOM_WITH_POSITIVE):
+            grads = point_info_nce_grad(batch, denominator)
+            assert all(np.all(np.isfinite(g)) for g in grads.values())
+        # negatives-only: the positive's logit is outside the denominator
+        assert np.array_equal(
+            point_info_nce_grad(batch)["positives"], -anchor / tau
         )
 
     def test_with_positive_mode_is_larger_and_positive(self):
@@ -213,6 +303,65 @@ class TestGradients:
         )
         for name in grads:
             assert np.array_equal(grads[name], raw[name])
+
+
+def _relative_gap(got, ref, tau) -> float:
+    """Largest difference, relative to the reference's magnitude but never to
+    less than the 1/tau scale of a logit (entries can cancel to near 0)."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    if not ref.size:
+        return 0.0
+    return float(np.abs(got - ref).max() / max(np.abs(ref).max(), 1.0 / tau))
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=300)
+    @given(
+        dim=st.integers(2, 32),
+        tau=st.sampled_from([0.05, 0.07, 0.5, 1.0]),
+        n_anchors=st.integers(1, 4),
+        n_positives=st.integers(1, 4),
+        n_families=st.sampled_from([(0, 3), (4, 0), (1, 1), (3, 2)]),
+        raw_pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=8),
+        denominator=st.sampled_from([DENOM_NEGATIVES_ONLY, DENOM_WITH_POSITIVE]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # repeated anchor and positive indices
+    @example(
+        dim=3, tau=0.07, n_anchors=2, n_positives=2, n_families=(2, 0),
+        raw_pairs=[(0, 1), (0, 1), (1, 1), (0, 0)],
+        denominator=DENOM_WITH_POSITIVE, seed=0,
+    )
+    def test_loss_and_grad(
+        self, dim, tau, n_anchors, n_positives, n_families, raw_pairs, denominator, seed
+    ):
+        rng = np.random.default_rng(seed)
+        batch = ContrastiveBatch(
+            anchors=_unit(rng, n_anchors, dim),
+            positives=_unit(rng, n_positives, dim),
+            position_negatives=_unit(rng, n_families[0], dim),
+            orientation_negatives=_unit(rng, n_families[1], dim),
+            pairs=[(j % n_anchors, l % n_positives) for j, l in raw_pairs],
+            tau=tau,
+        )
+        args = (
+            batch.anchors,
+            batch.positives,
+            batch.position_negatives,
+            batch.orientation_negatives,
+            batch.pairs,
+            tau,
+            denominator,
+        )
+        assert _relative_gap(
+            point_info_nce(batch, denominator), _reference_nce_loss(*args), tau
+        ) <= 1e-12
+        grads = point_info_nce_grad(batch, denominator)
+        ref = _reference_nce_grad(*args)
+        assert grads.keys() == ref.keys()
+        for name in ref:
+            assert grads[name].shape == ref[name].shape
+            assert _relative_gap(grads[name], ref[name], tau) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -394,8 +543,8 @@ def _per_sample_reference(samples, weights, epochs, learning_rate, tau, denomina
             g = u / norms
             split = 1 + s.position_negative_features.shape[0]
             args = (s.anchor_embedding[None, :], g[:1], g[1:split], g[split:])
-            loss += _nce_loss_raw(*args, [(0, 0)], tau, denominator)
-            grads = _nce_grad_raw(*args, [(0, 0)], tau, denominator)
+            loss += _reference_nce_loss(*args, [(0, 0)], tau, denominator)
+            grads = _reference_nce_grad(*args, [(0, 0)], tau, denominator)
             d_g = np.vstack(
                 [
                     grads["positives"],
@@ -533,6 +682,83 @@ class TestPeerNegatives:
         samples = build_training_samples(mined, np.eye(2, 8), blocks=4)
         out = add_peer_negatives(samples, mining_world[:2], n_peers=0)
         assert all(a is b for a, b in zip(out, samples))
+
+
+def _reference_peers(dataset, n_peers, min_dist, seed, pool):
+    """Peer indices per anchor from the scalar eligibility comprehension,
+    or None where an anchor has fewer than n_peers eligible peers."""
+    candidates = list(range(len(dataset))) if pool is None else list(pool)
+    chosen = []
+    for j, (plan, gt) in enumerate(dataset):
+        eligible = [
+            k
+            for k in candidates
+            if k != j
+            and (
+                dataset[k][0] is not plan
+                or math.hypot(dataset[k][1].x - gt.x, dataset[k][1].y - gt.y)
+                >= min_dist
+            )
+        ]
+        if len(eligible) < n_peers:
+            return None
+        rng = np.random.default_rng(np.random.SeedSequence([seed, j]))
+        peers = rng.choice(len(eligible), size=n_peers, replace=False)
+        chosen.append([eligible[int(k)] for k in peers])
+    return chosen
+
+
+_COORD = st.integers(-3000, 3000).map(lambda v: v / 1000)
+
+
+class TestPeerEligibility:
+    @settings(max_examples=300)
+    @given(
+        points=st.lists(st.tuples(st.integers(0, 2), _COORD, _COORD), min_size=1, max_size=12),
+        min_dist=st.sampled_from([0.0, 0.5, 1.5, 2.0]),
+        boundary=st.none()
+        | st.tuples(st.integers(0, 11), st.integers(0, 11), st.sampled_from([math.hypot, np.hypot])),
+        pool=st.none() | st.lists(st.integers(0, 11), max_size=14),
+        n_peers=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    # pairs at which np.hypot rounds below and above math.hypot
+    @example(
+        points=[(0, 0.0, 0.0), (0, -1.295, 0.757), (1, 0.0, 0.0)],
+        min_dist=0.0, boundary=(0, 1, math.hypot), pool=None, n_peers=2, seed=0,
+    )
+    @example(
+        points=[(0, 0.0, 0.0), (0, -1.068, 1.053), (1, 0.0, 0.0)],
+        min_dist=0.0, boundary=(0, 1, np.hypot), pool=None, n_peers=2, seed=0,
+    )
+    def test_matches_scalar_comprehension(self, points, min_dist, boundary, pool, n_peers, seed):
+        n = len(points)
+        # value-equal but distinct floorplans: eligibility is by identity
+        plans = [FloorPlan(occupancy=np.zeros((2, 2), dtype=bool), resolution=0.1) for _ in range(3)]
+        dataset = [(plans[p], Pose(x, y)) for p, x, y in points]
+        if boundary is not None:
+            # a peer exactly at min_dist, by either rounding of the distance
+            i, k, hypot = boundary
+            a, b = dataset[i % n][1], dataset[k % n][1]
+            min_dist = float(hypot(b.x - a.x, b.y - a.y))
+        if pool is not None:
+            pool = [k % n for k in pool]
+        samples = [
+            TrainingSample(
+                anchor_embedding=np.array([1.0, 0.0]),
+                positive_features=np.array([float(k)]),
+                position_negative_features=np.zeros((0, 1)),
+                orientation_negative_features=np.zeros((0, 1)),
+            )
+            for k in range(n)
+        ]
+        expect = _reference_peers(dataset, n_peers, min_dist, seed, pool)
+        if expect is None:
+            with pytest.raises(MiningExhaustedError):
+                add_peer_negatives(samples, dataset, n_peers, min_dist, seed, pool)
+            return
+        out = add_peer_negatives(samples, dataset, n_peers, min_dist, seed, pool)
+        assert [s.position_negative_features[:, 0].astype(int).tolist() for s in out] == expect
 
 
 class TestFileFormats:

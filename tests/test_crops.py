@@ -124,7 +124,7 @@ def _naive_block_mean(arr, blocks):
 
 
 class TestBlockMean:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         n=st.integers(2, 64),
         blocks=st.integers(1, 10),

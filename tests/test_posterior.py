@@ -210,7 +210,7 @@ def _reference_table(scorer: GridScorer) -> np.ndarray:
 
 
 class TestBlockedTableBuild:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(
         extent=st.tuples(st.sampled_from([4.0, 5.0, 6.0]), st.sampled_from([3.0, 4.0])),
         seed=st.integers(0, 50),
