@@ -14,10 +14,10 @@ import math
 import numpy as np
 
 from rayloc import (
+    GridScorer,
     Pose,
     PoseGridSpec,
     WorldSpec,
-    build_dafpm,
     generate_world,
     render_gt_rays,
 )
@@ -35,7 +35,7 @@ fan_twin = render_gt_rays(plan, twin)
 print(f"\nmax fan difference between the two poses: {np.max(np.abs(fan_gt.depths - fan_twin.depths)):.2e} m")
 
 grid = PoseGridSpec(cell_stride=0.1, n_orientations=36)
-dafpm = build_dafpm(plan, fan_gt.depths, grid)
+dafpm = GridScorer(plan, grid).score(fan_gt.depths)
 
 
 def grid_value(pose: Pose) -> float:

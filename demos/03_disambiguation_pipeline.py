@@ -9,12 +9,13 @@ the room ambiguity. Takes about a minute. Run with:
 
 from rayloc import DisambigConfig, NoiseSpec
 from rayloc.bench import build_benchmark, run_benchmark, sample_queries
+from rayloc.config import RunConfig
 from rayloc.synth import WorldSpec
 
 N_QUERIES = 40
 
 print("building the benchmark (pre-rendering the pose-grid fan table)...")
-bench = build_benchmark(world=WorldSpec(seed=0))
+bench = build_benchmark(RunConfig(world=WorldSpec(seed=0)))
 queries = sample_queries(bench, N_QUERIES, seed=1)
 
 print(f"\n{N_QUERIES} noiseless queries at different fusion weights w")

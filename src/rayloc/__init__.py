@@ -34,7 +34,6 @@ from .scoring import (
     PoseGridSpec,
     ProbMap,
     argmax_pose,
-    build_dafpm,
     top_x,
 )
 from .synth import (
@@ -75,7 +74,6 @@ __all__ = [
     "add_peer_negatives",
     "argmax_pose",
     "bin_centers",
-    "build_dafpm",
     "build_dpm",
     "build_training_samples",
     "crop_features",

@@ -8,70 +8,55 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import RunConfig
 from .crops import CropSpec
 from .disambig import DisambigConfig, LocalizationResult, localize
 from .errors import ValidationError
-from .floorplan import DEFAULT_FOV, DEFAULT_MAX_RANGE, DEFAULT_N_RAYS, FloorPlan, Pose
+from .floorplan import FloorPlan, Pose
 from .metrics import EvalRecord, EvalReport, evaluate
-from .scoring import DEFAULT_SIGMA, GridScorer, PoseGridSpec, default_cell_stride
-from .synth import (
-    NoiseSpec,
-    RandomProjectionEmbedder,
-    WorldSpec,
-    generate_world,
-    simulate_observation,
-)
+from .scoring import GridScorer, PoseGridSpec, default_cell_stride
+from .synth import NoiseSpec, RandomProjectionEmbedder, generate_world, simulate_observation
 
 
 @dataclass(frozen=True)
 class Benchmark:
-    plan: FloorPlan
-    scorer: GridScorer
-    grid: PoseGridSpec
+    scorer: GridScorer  # holds the map, the pose grid and the ray sensor
     embedder: RandomProjectionEmbedder
     gt_pool: tuple[Pose, ...]
     crop_spec: CropSpec
     sigma: float
-    n_rays: int
-    fov: float
-    max_range: float
 
 
-def build_benchmark(
-    world: WorldSpec = WorldSpec(),
-    n_orientations: int = 36,
-    cell_stride: float | None = None,
-    n_rays: int = DEFAULT_N_RAYS,
-    fov: float = DEFAULT_FOV,
-    max_range: float = DEFAULT_MAX_RANGE,
-    sigma: float = DEFAULT_SIGMA,
-    crop_spec: CropSpec = CropSpec(),
-    embed_dim: int = 64,
-    embed_seed: int = 7,
-    threads: int = 1,
-) -> Benchmark:
-    """Generate the world and build the rendered-fan table once, on `threads` threads."""
-    plan, poses = generate_world(world)
-    if cell_stride is None:
-        cell_stride = default_cell_stride(plan.resolution)
-    grid = PoseGridSpec(cell_stride=cell_stride, n_orientations=n_orientations)
+def build_pipeline(
+    cfg: RunConfig, plan: FloorPlan, threads: int = 1
+) -> tuple[GridScorer, RandomProjectionEmbedder]:
+    """The run config's table scorer (built on `threads` threads) and
+    reference embedder for one map."""
+    stride = cfg.grid.cell_stride_m
+    if stride is None:
+        stride = default_cell_stride(plan.resolution)
+    grid = PoseGridSpec(cell_stride=stride, n_orientations=cfg.grid.n_orientations)
+    rays = cfg.rays
     scorer = GridScorer(
-        plan, grid, n_rays=n_rays, fov=fov, max_range=max_range, threads=threads
+        plan, grid, n_rays=rays.n_rays, fov=rays.fov, max_range=rays.max_range_m,
+        threads=threads,
     )
     embedder = RandomProjectionEmbedder(
-        dim=embed_dim, seed=embed_seed, max_range=max_range
+        dim=cfg.embedder.dim, seed=cfg.embedder.seed, max_range=rays.max_range_m
     )
+    return scorer, embedder
+
+
+def build_benchmark(cfg: RunConfig = RunConfig(), threads: int = 1) -> Benchmark:
+    """Generate the config's world and build its rendered-fan table once."""
+    plan, poses = generate_world(cfg.world)
+    scorer, embedder = build_pipeline(cfg, plan, threads)
     return Benchmark(
-        plan=plan,
         scorer=scorer,
-        grid=grid,
         embedder=embedder,
         gt_pool=tuple(poses),
-        crop_spec=crop_spec,
-        sigma=sigma,
-        n_rays=n_rays,
-        fov=fov,
-        max_range=max_range,
+        crop_spec=cfg.crop,
+        sigma=cfg.bench.sigma_m,
     )
 
 
@@ -114,32 +99,18 @@ def run_query(
 ) -> tuple[LocalizationResult, EvalRecord, bool]:
     """Simulate one observation, localize it, and report (result, eval
     record, correct-room flag)."""
+    scorer, embedder = bench.scorer, bench.embedder
     pred, signature = simulate_observation(
-        bench.plan,
-        gt_pose,
-        noise=noise,
-        seed=seed,
-        n_rays=bench.n_rays,
-        fov=bench.fov,
-        max_range=bench.max_range,
+        scorer.plan, gt_pose, noise=noise, seed=seed,
+        n_rays=scorer.n_rays, fov=scorer.fov, max_range=scorer.max_range,
     )
-    query_embedding = bench.embedder.embed_signature(signature)
     result = localize(
-        bench.plan,
-        pred,
-        bench.grid,
-        query_embedding,
-        bench.embedder.embed_crop,
-        config=config,
-        crop_spec=bench.crop_spec,
-        sigma=bench.sigma,
-        scorer=bench.scorer,
-        n_rays=bench.n_rays,
-        fov=bench.fov,
-        max_range=bench.max_range,
+        scorer.plan, pred, scorer.grid, embedder.embed_signature(signature),
+        embedder.embed_crop, config=config, crop_spec=bench.crop_spec,
+        sigma=bench.sigma, scorer=scorer,
     )
     record = EvalRecord(predicted=result.pose, ground_truth=gt_pose)
-    correct_room = room_of(bench.plan, result.pose) == room_of(bench.plan, gt_pose)
+    correct_room = room_of(scorer.plan, result.pose) == room_of(scorer.plan, gt_pose)
     return result, record, correct_room
 
 
@@ -167,29 +138,42 @@ def run_benchmark(
     )
 
 
-def sweep(
-    bench: Benchmark,
+def sweep_points(
     param: str,
     values: list[float],
-    queries: list[Pose],
-    noise: NoiseSpec = NoiseSpec(),
     base_config: DisambigConfig = DisambigConfig(),
-    seed: int = 0,
-) -> list[tuple[float, BenchmarkOutcome]]:
-    """Re-run the benchmark for each value of one knob (w, x, or crop-m)."""
-    rows = []
-    for value in values:
-        b = bench
-        config = base_config
+    crop_spec: CropSpec = CropSpec(),
+) -> list[tuple[float, DisambigConfig, CropSpec]]:
+    """(value, disambiguation config, crop spec) for each value of one knob
+    (w, x, or crop-m); a bad value raises ValidationError here, before any
+    table is built."""
+    points = []
+    for value in map(float, values):
+        config, crop = base_config, crop_spec
         if param == "w":
-            config = replace(base_config, w=float(value))
+            config = replace(base_config, w=value)
         elif param == "x":
+            if not value.is_integer():
+                raise ValidationError(f"x must be an integer, got {value}")
             config = replace(base_config, x=int(value))
         elif param == "crop-m":
-            b = replace(bench, crop_spec=replace(bench.crop_spec, side_m=float(value)))
+            crop = replace(crop_spec, side_m=value)
         else:
             raise ValidationError(f"unknown sweep parameter {param!r}")
-        rows.append(
-            (float(value), run_benchmark(b, queries, noise=noise, config=config, seed=seed))
-        )
+        points.append((value, config, crop))
+    return points
+
+
+def sweep(
+    bench: Benchmark,
+    points: list[tuple[float, DisambigConfig, CropSpec]],
+    queries: list[Pose],
+    noise: NoiseSpec = NoiseSpec(),
+    seed: int = 0,
+) -> list[tuple[float, BenchmarkOutcome]]:
+    """Re-run the benchmark at each point from :func:`sweep_points`."""
+    rows = []
+    for value, config, crop in points:
+        b = replace(bench, crop_spec=crop)
+        rows.append((value, run_benchmark(b, queries, noise=noise, config=config, seed=seed)))
     return rows

@@ -29,9 +29,8 @@ from .contrastive import (
 )
 from .crops import Crop, extract_crop, write_crop_channels
 from .disambig import localize
-from .errors import ConfigurationError, FormatError, RaylocError
+from .errors import ConfigurationError, FormatError, RaylocError, ValidationError
 from .floorplan import (
-    FloorPlan,
     Pose,
     load_floorplan,
     ray_bearings,
@@ -40,13 +39,11 @@ from .floorplan import (
     write_pgm,
 )
 from .metrics import EvalRecord, evaluate
-from .scoring import GridScorer, PoseGridSpec, check_depth_range, default_cell_stride
-from .scoring import probmap_graymap, write_probmap
+from .scoring import check_depth_range, probmap_graymap, write_probmap
 from .synth import (
     NoiseSpec,
     ObservationSignature,
     RandomProjectionEmbedder,
-    WorldSpec,
     generate_world,
     relabel_texture,
     simulate_observation,
@@ -74,13 +71,6 @@ def _write_json(path: str, doc) -> None:
 
 def _pose_doc(pose: Pose) -> dict:
     return {"x": pose.x, "y": pose.y, "theta": pose.theta}
-
-
-def _grid_for(cfg: RunConfig, plan: FloorPlan) -> PoseGridSpec:
-    stride = cfg.grid.cell_stride_m
-    if stride is None:
-        stride = default_cell_stride(plan.resolution)
-    return PoseGridSpec(cell_stride=stride, n_orientations=cfg.grid.n_orientations)
 
 
 def _require_file(path: str) -> str:
@@ -205,13 +195,10 @@ def cmd_localize(cfg: RunConfig, args) -> int:
             f"rays file has {pred.size} rays, config expects {cfg.rays.n_rays}"
         )
     check_depth_range(pred, cfg.rays.max_range_m)  # before the table build
-    embedder = RandomProjectionEmbedder(
-        dim=cfg.embedder.dim, seed=cfg.embedder.seed, max_range=cfg.rays.max_range_m
-    )
     if args.query_emb:
-        query_embedding = read_embeddings(_require_file(args.query_emb))[0]
+        query = read_embeddings(_require_file(args.query_emb))[0]
     elif args.signature:
-        query_embedding = embedder.embed_signature(_load_signature(args.signature))
+        query = _load_signature(args.signature)
     else:
         raise ConfigurationError("localize needs --signature or --query-emb")
 
@@ -224,16 +211,14 @@ def cmd_localize(cfg: RunConfig, args) -> int:
     if args.crop_m is not None:
         crop_spec = replace(crop_spec, side_m=args.crop_m)
 
-    grid = _grid_for(cfg, plan)
-    scorer = GridScorer(
-        plan, grid, n_rays=cfg.rays.n_rays, fov=cfg.rays.fov,
-        max_range=cfg.rays.max_range_m, threads=args.threads,
-    )
+    scorer, embedder = bench_mod.build_pipeline(cfg, plan, args.threads)
+    if isinstance(query, ObservationSignature):
+        query = embedder.embed_signature(query)
     result = localize(
         plan,
         pred,
-        grid,
-        query_embedding,
+        scorer.grid,
+        query,
         embedder.embed_crop,
         config=disambig,
         crop_spec=crop_spec,
@@ -411,32 +396,16 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
-    values = [float(v) for v in args.values.split(",") if v.strip() != ""]
-    if not values:
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+        points = bench_mod.sweep_points(args.param, values, cfg.disambig, cfg.crop)
+    except (ValueError, ValidationError) as exc:
+        raise ConfigurationError(f"bad --values for {args.param}: {exc}") from exc
+    if not points:
         raise ConfigurationError("--values must list at least one number")
-    bench = bench_mod.build_benchmark(
-        world=cfg.world,
-        n_orientations=cfg.grid.n_orientations,
-        cell_stride=cfg.grid.cell_stride_m,
-        n_rays=cfg.rays.n_rays,
-        fov=cfg.rays.fov,
-        max_range=cfg.rays.max_range_m,
-        sigma=cfg.bench.sigma_m,
-        crop_spec=cfg.crop,
-        embed_dim=cfg.embedder.dim,
-        embed_seed=cfg.embedder.seed,
-        threads=args.threads,
-    )
+    bench = bench_mod.build_benchmark(cfg, args.threads)
     queries = bench_mod.sample_queries(bench, cfg.bench.n_queries, cfg.bench.query_seed)
-    rows = bench_mod.sweep(
-        bench,
-        args.param,
-        values,
-        queries,
-        noise=cfg.noise,
-        base_config=cfg.disambig,
-        seed=cfg.seed,
-    )
+    rows = bench_mod.sweep(bench, points, queries, noise=cfg.noise, seed=cfg.seed)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "sweep.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -365,6 +365,11 @@ class LinearEmbedder:
     blocks: int = 8
 
     def embed_features(self, feats: np.ndarray) -> np.ndarray:
+        if np.shape(feats) != self.weights.shape[1:]:
+            raise ValidationError(
+                f"embedder weights take {self.weights.shape[1]} features, got shape "
+                f"{np.shape(feats)} (pooled with other n_texture_ids or blocks?)"
+            )
         u = self.weights @ feats
         norm = np.linalg.norm(u)
         if norm < 1e-12:

@@ -32,8 +32,8 @@ class CropSpec:
     channels: str = OCCUPANCY_TEXTURE
 
     def __post_init__(self):
-        if not self.side_m > 0:
-            raise ValidationError("side_m must be > 0")
+        if not 0 < self.side_m < math.inf:
+            raise ValidationError(f"side_m must be finite and > 0, got {self.side_m}")
         if self.out_px is not None and self.out_px < 2:
             raise ValidationError("out_px must be >= 2")
         if self.channels not in (OCCUPANCY_ONLY, OCCUPANCY_TEXTURE):

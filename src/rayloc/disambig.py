@@ -16,7 +16,6 @@ from .scoring import (
     GridScorer,
     PoseGridSpec,
     ProbMap,
-    build_dafpm,
     top_x,
 )
 
@@ -108,12 +107,14 @@ def localize(
     """End-to-end single-frame localization.
 
     Depth posterior -> top-X candidates -> per-candidate crop embeddings, in
-    candidate order -> similarity map -> fusion -> final pose.
+    candidate order -> similarity map -> fusion -> final pose. A prebuilt
+    `scorer` carries its own grid and ray sensor and amortizes the
+    rendered-fan table across queries; without one, a table is built from
+    `grid`, `n_rays`, `fov` and `max_range` for this call alone.
     """
-    dafpm = build_dafpm(
-        plan, pred_depths, grid, sigma=sigma, scorer=scorer,
-        n_rays=n_rays, fov=fov, max_range=max_range,
-    )
+    if scorer is None:
+        scorer = GridScorer(plan, grid, n_rays=n_rays, fov=fov, max_range=max_range)
+    dafpm = scorer.score(pred_depths, sigma)
     candidates = top_x(dafpm, config.x)
 
     crop_embeddings = np.stack(

@@ -245,29 +245,6 @@ class GridScorer:
         )
 
 
-def build_dafpm(
-    plan: FloorPlan,
-    pred_depths: np.ndarray,
-    grid: PoseGridSpec,
-    sigma: float = DEFAULT_SIGMA,
-    scorer: GridScorer | None = None,
-    n_rays: int | None = None,
-    fov: float = DEFAULT_FOV,
-    max_range: float = DEFAULT_MAX_RANGE,
-) -> ProbMap:
-    """Pose posterior from ray agreement alone.
-
-    Pass a prebuilt :class:`GridScorer` to amortize the rendered-fan table
-    across queries on the same map.
-    """
-    pred = np.asarray(pred_depths, dtype=float).ravel()
-    if scorer is None:
-        scorer = GridScorer(
-            plan, grid, n_rays=n_rays or pred.size, fov=fov, max_range=max_range
-        )
-    return scorer.score(pred, sigma=sigma)
-
-
 def argmax_pose(pmap: ProbMap) -> Pose:
     """Pose of the maximal posterior entry; ties go to the lowest linear
     index (row-major, orientation-minor)."""

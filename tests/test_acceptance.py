@@ -15,6 +15,7 @@ from rayloc.bench import (
     run_query,
     sample_queries,
 )
+from rayloc.config import RunConfig
 from rayloc.contrastive import (
     DENOM_NEGATIVES_ONLY,
     DENOM_WITH_POSITIVE,
@@ -59,7 +60,7 @@ def _report(capsys, ok: bool, line: str) -> None:
 
 @pytest.fixture(scope="module")
 def bench():
-    return build_benchmark(world=WorldSpec(seed=0))
+    return build_benchmark(RunConfig(world=WorldSpec(seed=0)))
 
 
 @pytest.fixture(scope="module")
@@ -94,11 +95,11 @@ def pipeline_runs(bench, queries):
 
 def _grid_index(bench, pose):
     """Exact (row, col, orientation) grid bin of a pool pose."""
-    stride = bench.grid.cell_stride
-    r = int(round((pose.y - bench.plan.origin[1]) / stride - 0.5))
-    c = int(round((pose.x - bench.plan.origin[0]) / stride - 0.5))
-    o = int(round(pose.theta / (2 * math.pi / bench.grid.n_orientations)))
-    return r, c, o % bench.grid.n_orientations
+    stride = bench.scorer.grid.cell_stride
+    r = int(round((pose.y - bench.scorer.plan.origin[1]) / stride - 0.5))
+    c = int(round((pose.x - bench.scorer.plan.origin[0]) / stride - 0.5))
+    o = int(round(pose.theta / (2 * math.pi / bench.scorer.grid.n_orientations)))
+    return r, c, o % bench.scorer.grid.n_orientations
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +239,7 @@ def test_criterion_4_twin_ambiguity(capsys, bench, pipeline_runs):
     for entry in pipeline_runs[("noiseless", 0.0)][:50]:
         dafpm = entry["result"].dafpm
         gt = entry["gt"]
-        twin = rotated_twin_pose(bench.plan, gt)
+        twin = rotated_twin_pose(bench.scorer.plan, gt)
         r, c, o = _grid_index(bench, gt)
         rt, ct, ot = _grid_index(bench, twin)
         worst_tie = max(

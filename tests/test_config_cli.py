@@ -11,11 +11,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rayloc import cli
 from rayloc.cli import EXIT_CONFIG, EXIT_MISSING, EXIT_RUNTIME, build_parser, main
 from rayloc.config import SCHEMA, _integer, _number, _pair, load_config, parse_config
 from rayloc.errors import ConfigurationError, RaylocError, ValidationError
 from rayloc.floorplan import cast_ray, load_floorplan
+from rayloc.scoring import GridScorer
 
 
 _FLOATS = st.floats(min_value=1e-3, max_value=1e3)
@@ -627,7 +627,7 @@ class TestCliInputErrors:
         def no_table(*args, **kwargs):
             raise AssertionError("rendered-fan table built before the depth check")
 
-        monkeypatch.setattr(cli, "GridScorer", no_table)
+        monkeypatch.setattr(GridScorer, "__init__", no_table)
         sim_out, _ = simulated
         for bad in ("-0.5", "10.5"):
             rays = tmp_path / f"rays{bad}.csv"
@@ -643,6 +643,26 @@ class TestCliInputErrors:
             error = _error(out)
             assert error["type"] == "ValidationError"
             assert not (out / "pose.json").exists()
+
+    @pytest.mark.parametrize(
+        "param, values",
+        [("w", "1.5"), ("w", "0,nan"), ("x", "2.5"), ("x", "0"), ("x", "inf"),
+         ("crop-m", "0"), ("crop-m", "inf"), ("w", "0.5,abc")],
+    )
+    def test_bad_sweep_value_fails_before_table_build(
+        self, tmp_path, monkeypatch, param, values
+    ):
+        def no_table(*args, **kwargs):
+            raise AssertionError("rendered-fan table built before the sweep values")
+
+        monkeypatch.setattr(GridScorer, "__init__", no_table)
+        out = tmp_path / "o"
+        argv = ["sweep", "--param", param, "--values", values, "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        error = _error(out)
+        assert error["type"] == "ConfigurationError"
+        assert param in error["message"]
+        assert not (out / "sweep.csv").exists()
 
     @pytest.mark.parametrize("command", ["localize", "sweep"])
     def test_threads_below_one_is_config_error(

@@ -483,6 +483,20 @@ class TestLinearEmbedder:
         with pytest.raises(ValidationError):
             emb.embed_features(np.ones(6))
 
+    def test_feature_width_mismatch_names_both_widths(self, mining_world):
+        crop_spec = CropSpec(side_m=3.0, out_px=16)
+        mined = [
+            mine_samples(mining_world, j, PerturbSpec(), MiningSpec(), crop_spec)
+            for j in range(2)
+        ]
+        # trained on 4x4-block features (272 wide), the embedder keeps its
+        # default of 8x8 blocks and pools crops 1088 wide
+        samples = build_training_samples(mined, np.eye(2, 4), blocks=4)
+        embedder, _ = train_linear_embedder(samples, dim=4, epochs=2)
+        plan, pose = mining_world[0]
+        with pytest.raises(ValidationError, match=r"272 features, got shape \(1088,\)"):
+            embedder.embed_crop(extract_crop(plan, pose, crop_spec))
+
 
 def _toy_samples(n=12, n_feats=10, dim=6, seed=0):
     """Synthetic training set where anchors correlate with a fixed projection

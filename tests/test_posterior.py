@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rayloc import scoring
+from rayloc.crops import CropSpec, extract_crop
+from rayloc.disambig import DisambigConfig, localize
 from rayloc.errors import EmptyDomainError, FormatError, ValidationError
 from rayloc.floorplan import Pose, cast_rays, ray_bearings, render_gt_rays
 from rayloc.scoring import (
@@ -17,14 +19,13 @@ from rayloc.scoring import (
     PoseGridSpec,
     ProbMap,
     argmax_pose,
-    build_dafpm,
     default_cell_stride,
     probmap_graymap,
     read_probmap_values,
     top_x,
     write_probmap,
 )
-from rayloc.synth import WorldSpec, generate_world
+from rayloc.synth import RandomProjectionEmbedder, WorldSpec, generate_world
 
 
 def _uniform_probmap(rows=2, cols=3, n_ori=4):
@@ -180,14 +181,19 @@ class TestGridScorer:
         with pytest.raises(ValidationError, match="threads"):
             GridScorer(plan, PoseGridSpec(0.5, 2), n_rays=8, threads=0)
 
-    def test_build_dafpm_uses_prebuilt_scorer(self, world):
+    def test_localize_uses_prebuilt_scorer(self, world):
         plan, poses = world
         grid = PoseGridSpec(cell_stride=0.3, n_orientations=4)
-        scorer = GridScorer(plan, grid, n_rays=12)
-        fan = render_gt_rays(plan, poses[0], n_rays=12)
-        a = build_dafpm(plan, fan.depths, grid, scorer=scorer)
-        b = build_dafpm(plan, fan.depths, grid, n_rays=12)
-        assert np.array_equal(a.values, b.values)
+        scorer = GridScorer(plan, grid, n_rays=12, fov=1.5, max_range=8.0)
+        fan = render_gt_rays(plan, poses[0], n_rays=12, fov=1.5, max_range=8.0)
+        embedder = RandomProjectionEmbedder(dim=8, seed=0, max_range=8.0)
+        query = embedder.embed_crop(extract_crop(plan, poses[0], CropSpec()))
+        args = (plan, fan.depths, grid, query, embedder.embed_crop)
+        config = DisambigConfig(x=5)
+        a = localize(*args, config=config, scorer=scorer)
+        b = localize(*args, config=config, n_rays=12, fov=1.5, max_range=8.0)
+        assert np.array_equal(a.dafpm.values, b.dafpm.values)
+        assert a.pose == b.pose
 
 
 def _reference_table(scorer: GridScorer) -> np.ndarray:
