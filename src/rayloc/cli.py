@@ -188,6 +188,17 @@ def _read_depth_csv(path: str) -> np.ndarray:
 
 
 def cmd_localize(cfg: RunConfig, args) -> int:
+    disambig, crop_spec = cfg.disambig, cfg.crop
+    for param, value in (("w", args.w), ("x", args.x), ("crop-m", args.crop_m)):
+        if value is None:
+            continue
+        try:
+            [(_, disambig, crop_spec)] = bench_mod.sweep_points(
+                param, [value], disambig, crop_spec
+            )
+        except ValidationError as exc:
+            raise ConfigurationError(f"bad --{param}: {exc}") from exc
+
     plan = load_floorplan(_require_file(args.map))
     pred = _read_depth_csv(args.rays)
     if pred.size != cfg.rays.n_rays:
@@ -201,15 +212,6 @@ def cmd_localize(cfg: RunConfig, args) -> int:
         query = _load_signature(args.signature)
     else:
         raise ConfigurationError("localize needs --signature or --query-emb")
-
-    disambig = cfg.disambig
-    if args.w is not None:
-        disambig = replace(disambig, w=args.w)
-    if args.x is not None:
-        disambig = replace(disambig, x=args.x)
-    crop_spec = cfg.crop
-    if args.crop_m is not None:
-        crop_spec = replace(crop_spec, side_m=args.crop_m)
 
     scorer, embedder = bench_mod.build_pipeline(cfg, plan, args.threads)
     if isinstance(query, ObservationSignature):

@@ -17,7 +17,7 @@ from .disambig import DisambigConfig
 from .errors import ConfigurationError, ValidationError
 from .floorplan import DEFAULT_FOV, DEFAULT_MAX_RANGE, DEFAULT_N_RAYS
 from .raybins import BinSpec
-from .scoring import DEFAULT_SIGMA
+from .scoring import DEFAULT_SIGMA, MAX_TABLE_RANGE
 from .synth import NoiseSpec, WorldSpec
 
 
@@ -62,8 +62,10 @@ class RayParams:
             raise ValidationError(f"n_rays must be >= 2, got {self.n_rays}")
         if not 0 < self.fov_deg < 360:
             raise ValidationError(f"fov_deg must lie in (0, 360), got {self.fov_deg}")
-        if not self.max_range_m > 0:
-            raise ValidationError(f"max_range_m must be > 0, got {self.max_range_m}")
+        if not 0 < self.max_range_m <= MAX_TABLE_RANGE:
+            raise ValidationError(
+                f"max_range_m must lie in (0, {MAX_TABLE_RANGE:.6f}], got {self.max_range_m}"
+            )
 
     @property
     def fov(self) -> float:

@@ -27,12 +27,15 @@ from .floorplan import (
 )
 
 DEFAULT_SIGMA = 0.5  # meters; likelihood scale
-DEPTH_QUANTUM = 1e-6  # meters; depths are quantized before comparison so that
-# congruent geometry produces exactly tied scores (tie-break is then by index)
+DEPTH_QUANTUM = 1e-6  # meters; the table and predicted depths are integers in
+# this unit, so congruent geometry produces exactly tied scores (tie-break is
+# then by index)
+MAX_TABLE_RANGE = (2**31 - 1) * DEPTH_QUANTUM  # meters; the largest int32 depth
 
 PROBMAP_MAGIC = b"DPMF"
 
 BLOCK_RAYS = 100_000  # rays cast per table-build block, rounded down to whole cells
+SCORE_BLOCK_CELLS = 64  # free cells per block of the error sum; keeps its temporary in cache
 
 
 def default_cell_stride(resolution: float) -> float:
@@ -163,8 +166,10 @@ class GridScorer:
 
     The table is the expensive part (one cast per free cell x orientation x
     ray); queries against it are cheap, so one scorer serves any number of
-    localizations on the same map. The table is filled in blocks of whole free
-    cells on `threads` worker threads and does not depend on their count.
+    localizations on the same map. It holds (n_free, n_orientations, n_rays)
+    int32 depths in units of DEPTH_QUANTUM, so `max_range` may not exceed
+    MAX_TABLE_RANGE. The table is filled in blocks of whole free cells on
+    `threads` worker threads and does not depend on their count.
     """
 
     def __init__(
@@ -178,6 +183,11 @@ class GridScorer:
     ):
         if threads < 1:
             raise ValidationError(f"threads must be >= 1, got {threads}")
+        if not max_range <= MAX_TABLE_RANGE:
+            raise ValidationError(
+                f"max_range must be <= {MAX_TABLE_RANGE:.6f} m for an int32 "
+                f"table, got {max_range}"
+            )
         self.plan = plan
         self.grid = grid
         self.n_rays = n_rays
@@ -205,7 +215,7 @@ class GridScorer:
         bearings = np.concatenate([ray_bearings(t, n_rays, fov) for t in thetas])
         per_cell = bearings.size
         cells = max(1, BLOCK_RAYS // per_cell)
-        table = np.empty((n_free, grid.n_orientations, n_rays), dtype=float)
+        table = np.empty((n_free, grid.n_orientations, n_rays), dtype=np.int32)
 
         def fill(lo: int) -> None:
             x, y = self.free_x[lo : lo + cells], self.free_y[lo : lo + cells]
@@ -213,8 +223,9 @@ class GridScorer:
                 plan, np.repeat(x, per_cell), np.repeat(y, per_cell),
                 np.tile(bearings, x.size), max_range,
             )
-            d = np.round(d / DEPTH_QUANTUM) * DEPTH_QUANTUM
-            table[lo : lo + x.size] = d.reshape(x.size, *table.shape[1:])
+            table[lo : lo + x.size] = np.rint(d / DEPTH_QUANTUM).reshape(
+                x.size, *table.shape[1:]
+            )
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(fill, range(0, n_free, cells)))
@@ -225,7 +236,11 @@ class GridScorer:
         return self.free_rc.shape[0]
 
     def score(self, pred_depths: np.ndarray, sigma: float = DEFAULT_SIGMA) -> ProbMap:
-        """Score exp(-mean|pred - rendered| / sigma) per free pose, normalized."""
+        """Score exp(-mean|pred - rendered| / sigma) per free pose, normalized.
+
+        Each error is an exact integer sum in DEPTH_QUANTUM units, so
+        congruent poses tie exactly; shifting by the smallest sum keeps the
+        peak from underflowing at small sigma."""
         if not sigma > 0:
             raise ValidationError("sigma must be > 0")
         pred = np.asarray(pred_depths, dtype=float).ravel()
@@ -234,9 +249,15 @@ class GridScorer:
                 f"predicted fan has {pred.size} rays, scorer expects {self.n_rays}"
             )
         check_depth_range(pred, self.max_range)
-        pred = np.round(pred / DEPTH_QUANTUM) * DEPTH_QUANTUM
-        err = np.abs(self.table - pred).mean(axis=2)  # (n_free, n_ori)
-        scores = np.exp(-err / sigma)
+        pred = np.rint(pred / DEPTH_QUANTUM).astype(np.int32)
+        err = np.empty(self.table.shape[:2], dtype=np.int64)  # S per (cell, orientation)
+        diff = np.empty((SCORE_BLOCK_CELLS, *self.table.shape[1:]), dtype=np.int32)
+        for lo in range(0, self.n_free, SCORE_BLOCK_CELLS):
+            block = self.table[lo : lo + SCORE_BLOCK_CELLS]
+            d = np.subtract(block, pred, out=diff[: len(block)])
+            np.abs(d, out=d)
+            d.sum(axis=2, dtype=np.int64, out=err[lo : lo + len(block)])
+        scores = np.exp((err.min() - err) * (DEPTH_QUANTUM / (self.n_rays * sigma)))
         total = scores.sum()  # single deterministic reduction
         values = np.zeros((self.rows, self.cols, self.grid.n_orientations))
         values[self.free_rc[:, 0], self.free_rc[:, 1], :] = scores / total
@@ -264,8 +285,14 @@ def top_x(pmap: ProbMap, x: int = 100) -> CandidateSet:
     free_flat = np.flatnonzero(np.repeat(pmap.mask.reshape(-1), n_ori))
     if free_flat.size == 0:
         raise EmptyDomainError("probability map has no free poses")
-    order = np.argsort(-flat[free_flat], kind="stable")
-    chosen = free_flat[order[: min(x, free_flat.size)]]
+    scores = flat[free_flat]
+    k = min(x, scores.size)
+    # the k-th largest score, then every score above it and the lowest-index
+    # ones equal to it: the first k of a stable descending sort, in any order
+    kth = np.partition(scores, scores.size - k)[scores.size - k]
+    above = np.flatnonzero(scores > kth)
+    picked = np.concatenate([above, np.flatnonzero(scores == kth)[: k - above.size]])
+    chosen = free_flat[picked[np.lexsort((picked, -scores[picked]))]]
     poses = tuple(pmap.pose_of_flat_index(i) for i in chosen)
     return CandidateSet(poses=poses, scores=flat[chosen], linear_indices=chosen)
 

@@ -111,8 +111,16 @@ def _twin_rooms(spec: WorldSpec) -> tuple[np.ndarray, np.ndarray]:
     height = _cells(spec.extent[1], res)
     border = _cells(0.5, res)
     mid_half = max(1, _cells(1.0, res) // 2)
-    if width <= 2 * border + 2 * mid_half + 2 or height <= 2 * border + 2:
-        raise ConfigurationError("twin-rooms: extent too small for the layout")
+    # the baffles below sit between margins of 0.5 and 0.7 m inside each room
+    baffle_span = _cells(0.5, res) + _cells(0.7, res) + 1
+    min_width = 2 * (mid_half + border + baffle_span)
+    min_height = 2 * border + baffle_span
+    if width < min_width or height < min_height:
+        raise ConfigurationError(
+            f"twin-rooms: extent must be at least {min_width * res:g} x "
+            f"{min_height * res:g} m at resolution {res:g} m, got "
+            f"{spec.extent[0]:g} x {spec.extent[1]:g} m"
+        )
 
     occ = np.zeros((height, width), dtype=bool)
     occ[:border, :] = True

@@ -15,7 +15,7 @@ from rayloc.cli import EXIT_CONFIG, EXIT_MISSING, EXIT_RUNTIME, build_parser, ma
 from rayloc.config import SCHEMA, _integer, _number, _pair, load_config, parse_config
 from rayloc.errors import ConfigurationError, RaylocError, ValidationError
 from rayloc.floorplan import cast_ray, load_floorplan
-from rayloc.scoring import GridScorer
+from rayloc.scoring import MAX_TABLE_RANGE, GridScorer
 
 
 _FLOATS = st.floats(min_value=1e-3, max_value=1e3)
@@ -179,6 +179,7 @@ class TestParseConfig:
             ("rays", "fov_deg", 0.0),
             ("rays", "fov_deg", 360.0),
             ("rays", "max_range_m", 0.0),
+            ("rays", "max_range_m", 2147.5),  # past the int32 table's range
             ("grid", "cell_stride_m", 0.0),
             ("grid", "n_orientations", 0),
             ("bench", "n_queries", 0),
@@ -191,6 +192,10 @@ class TestParseConfig:
     def test_range_checks(self, section, key, value):
         with pytest.raises(ValidationError, match=key):
             parse_config({section: {key: value}})
+
+    def test_max_range_up_to_the_int32_table_cap(self):
+        cfg = parse_config({"rays": {"max_range_m": MAX_TABLE_RANGE}})
+        assert cfg.rays.max_range_m == MAX_TABLE_RANGE
 
     def test_readme_table_lists_every_default(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -504,6 +509,9 @@ class TestCliExitCodes:
             ("mine", "bench", {"n_anchors": 0}),
             ("cast", "rays", {"n_rays": 1}),
             ("cast", "rays", {"max_range_m": -1}),
+            ("cast", "rays", {"max_range_m": 2148.0}),
+            # a twin-rooms extent with no room for the layout's margins
+            ("gen-world", "world", {"extent_m": [3.0, 2.0]}),
             ("sweep", "grid", {"n_orientations": 0}),
             # negative seeds, which NumPy's seeding would reject with a traceback
             ("gen-world", "world", {"seed": -1}),
@@ -663,6 +671,31 @@ class TestCliInputErrors:
         assert error["type"] == "ConfigurationError"
         assert param in error["message"]
         assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--w", "1.5"), ("--w", "nan"), ("--x", "0"), ("--crop-m", "0"), ("--crop-m", "inf")],
+    )
+    def test_bad_localize_override_fails_before_table_build(
+        self, generated_world, small_config_path, simulated, tmp_path, monkeypatch,
+        flag, value,
+    ):
+        def no_table(*args, **kwargs):
+            raise AssertionError("rendered-fan table built before the overrides")
+
+        monkeypatch.setattr(GridScorer, "__init__", no_table)
+        sim_out, _ = simulated
+        out = tmp_path / "o"
+        argv = _localize(
+            small_config_path, generated_world / "map.pgm", sim_out / "rays.csv",
+            sim_out / "signature.json", out, flag, value,
+        )
+        assert main(argv) == EXIT_CONFIG
+        error = _error(out)
+        assert error["exit"] == EXIT_CONFIG
+        assert error["type"] == "ConfigurationError"
+        assert flag in error["message"]
+        assert not (out / "pose.json").exists()
 
     @pytest.mark.parametrize("command", ["localize", "sweep"])
     def test_threads_below_one_is_config_error(

@@ -14,6 +14,7 @@ from rayloc.errors import EmptyDomainError, FormatError, ValidationError
 from rayloc.floorplan import Pose, cast_rays, ray_bearings, render_gt_rays
 from rayloc.scoring import (
     DEPTH_QUANTUM,
+    MAX_TABLE_RANGE,
     CandidateSet,
     GridScorer,
     PoseGridSpec,
@@ -137,7 +138,7 @@ class TestGridScorer:
         err = np.abs(q(ref_fan.depths) - q(fan.depths)).mean()
         expected_unnorm = math.exp(-err / 0.5)
 
-        all_err = np.abs(scorer.table - q(fan.depths)).mean(axis=2)
+        all_err = np.abs(scorer.table * DEPTH_QUANTUM - q(fan.depths)).mean(axis=2)
         total = np.exp(-all_err / 0.5).sum()
         assert pmap.values[r, c, 3] == pytest.approx(expected_unnorm / total, rel=1e-12)
 
@@ -197,7 +198,8 @@ class TestGridScorer:
 
 
 def _reference_table(scorer: GridScorer) -> np.ndarray:
-    """The table cast in one cast_rays call over every ray, quantized."""
+    """The table cast in one cast_rays call over every ray, in int32 units of
+    DEPTH_QUANTUM."""
     bearings = np.stack(
         [
             ray_bearings(t, scorer.n_rays, scorer.fov)
@@ -211,8 +213,7 @@ def _reference_table(scorer: GridScorer) -> np.ndarray:
         np.tile(bearings, scorer.n_free),
         scorer.max_range,
     )
-    depths = np.round(depths / DEPTH_QUANTUM) * DEPTH_QUANTUM
-    return depths.reshape(scorer.table.shape)
+    return np.rint(depths / DEPTH_QUANTUM).astype(np.int32).reshape(scorer.table.shape)
 
 
 class TestBlockedTableBuild:
@@ -249,6 +250,98 @@ class TestBlockedTableBuild:
         assert scorer.table.tobytes() == _reference_table(scorer).tobytes()
 
 
+def _float_posterior(scorer: GridScorer, pred: np.ndarray, sigma: float) -> np.ndarray:
+    """Reference posterior on the float64 table in metres:
+    exp(-mean|pred - rendered| / sigma), normalized."""
+    pred = np.round(np.asarray(pred, dtype=float) / DEPTH_QUANTUM) * DEPTH_QUANTUM
+    err = np.abs(scorer.table * DEPTH_QUANTUM - pred).mean(axis=2)
+    scores = np.exp(-err / sigma)
+    values = np.zeros((scorer.rows, scorer.cols, scorer.grid.n_orientations))
+    values[scorer.free_rc[:, 0], scorer.free_rc[:, 1], :] = scores / scores.sum()
+    return values
+
+
+def _stable_top_x(
+    values: np.ndarray, mask: np.ndarray, x: int, rtol: float = 0.0
+) -> np.ndarray:
+    """Reference selection: a full stable descending sort of the free poses.
+    Scores within `rtol` of their sorted predecessor count as tied and are
+    ordered by linear index."""
+    flat = values.reshape(-1)
+    free_flat = np.flatnonzero(np.repeat(mask.reshape(-1), values.shape[2]))
+    scores = flat[free_flat]
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    group = np.cumsum(np.r_[0, ranked[1:] < ranked[:-1] * (1.0 - rtol)])
+    return free_flat[order[np.lexsort((order, group))][:x]]
+
+
+class TestIntegerScoring:
+    @settings(max_examples=30)
+    @given(
+        extent=st.tuples(st.sampled_from([4.0, 5.0, 6.0]), st.sampled_from([3.0, 4.0])),
+        seed=st.integers(0, 50),
+        stride=st.sampled_from([0.2, 0.3, 0.45]),
+        n_ori=st.integers(1, 8),
+        n_rays=st.integers(2, 12),
+        max_range=st.sampled_from([1.5, 10.0]),
+        sigma=st.sampled_from([0.05, 0.5, 2.0]),
+        x=st.integers(1, 300),
+        pred_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_float_oracle(
+        self, extent, seed, stride, n_ori, n_rays, max_range, sigma, x, pred_seed
+    ):
+        plan, _ = generate_world(
+            WorldSpec(layout="random-partition", extent=extent, seed=seed)
+        )
+        grid = PoseGridSpec(cell_stride=stride, n_orientations=n_ori)
+        scorer = GridScorer(plan, grid, n_rays=n_rays, max_range=max_range)
+        pred = np.random.default_rng(pred_seed).uniform(0.0, max_range, n_rays)
+        pmap = scorer.score(pred, sigma)
+        expected = _float_posterior(scorer, pred, sigma)
+        np.testing.assert_allclose(pmap.values, expected, rtol=1e-12, atol=0)
+        # Poses with equal integer error sums tie exactly and go by index.
+        # The float means of such sums can differ in the last bits (a mirrored
+        # pose sums the same errors in another order), so the reference treats
+        # scores within rounding as tied; distinct sums differ by >= 4e-8
+        # relative here.
+        chosen = top_x(pmap, x).linear_indices
+        expected_top = _stable_top_x(expected, scorer.mask, x, rtol=1e-12)
+        assert chosen.tolist() == expected_top.tolist()
+
+    def test_small_sigma_keeps_twin_tie_and_argmax(self):
+        plan, _ = generate_world(WorldSpec(extent=(6.0, 4.0), seed=0))  # twin rooms
+        grid = PoseGridSpec(cell_stride=0.1, n_orientations=8)
+        scorer = GridScorer(plan, grid, n_rays=16)
+        r, c = scorer.free_rc[scorer.n_free // 3]
+        o = 3
+        ys, xs = grid.cell_centers(plan)
+        fan = render_gt_rays(plan, Pose(xs[c], ys[r], grid.orientation_centers()[o]), n_rays=16)
+        noise = np.random.default_rng(5).normal(0.0, 0.01, 16)
+        pred = np.clip(fan.depths + noise, 0.0, scorer.max_range)
+        values = scorer.score(pred, sigma=1e-4).values  # exp(-err / sigma) underflows
+
+        assert np.isfinite(values).all() and abs(values.sum() - 1.0) <= 1e-12
+        twin = (scorer.rows - 1 - r, scorer.cols - 1 - c, (o + 4) % 8)
+        assert values[r, c, o] > 0
+        assert values[r, c, o].tobytes() == values[twin].tobytes()
+        pred_units = np.rint(pred / DEPTH_QUANTUM).astype(np.int64)
+        sums = np.abs(scorer.table.astype(np.int64) - pred_units).sum(axis=2)
+        cells = scorer.free_rc[:, 0] * scorer.cols + scorer.free_rc[:, 1]
+        linear = cells[:, None] * 8 + np.arange(8)  # increasing, like the sums' order
+        assert int(np.argmax(values)) == linear.ravel()[np.argmin(sums)]
+
+    def test_max_range_fits_int32(self, box_plan):
+        grid = PoseGridSpec(0.5, 2)
+        with pytest.raises(ValidationError, match="int32"):
+            GridScorer(box_plan, grid, n_rays=4, max_range=np.nextafter(MAX_TABLE_RANGE, 3e3))
+        scorer = GridScorer(box_plan, grid, n_rays=4, max_range=MAX_TABLE_RANGE)
+        assert scorer.table.dtype == np.int32
+        pmap = scorer.score(np.full(4, MAX_TABLE_RANGE))  # the largest depth still fits
+        assert np.isfinite(pmap.values).all()
+
+
 class TestSelection:
     def test_argmax_and_top_x_agree(self):
         rng = np.random.default_rng(9)
@@ -272,6 +365,25 @@ class TestSelection:
         cs = top_x(pmap, 6)
         assert cs.linear_indices.tolist() == [0, 1, 2, 3, 4, 5]
         assert argmax_pose(pmap) == pmap.pose_of_flat_index(0)
+
+    @settings(max_examples=50)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5)),
+        levels=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_stable_sort_with_ties(self, shape, levels, seed):
+        rng = np.random.default_rng(seed)
+        mask = rng.random(shape[:2]) < 0.8
+        mask.flat[rng.integers(mask.size)] = True
+        raw = rng.integers(0, levels + 1, size=shape).astype(float)  # many ties, some 0
+        raw[~mask] = 0.0
+        if not raw.any():
+            raw[mask] = 1.0
+        pmap = ProbMap(values=raw / raw.sum(), spec=PoseGridSpec(0.5, shape[2]), mask=mask)
+        for x in range(1, raw.size + 2):
+            expected = _stable_top_x(pmap.values, mask, x)
+            assert top_x(pmap, x).linear_indices.tolist() == expected.tolist()
 
     def test_x_larger_than_grid_saturates(self):
         pmap = _uniform_probmap(2, 2, 2)

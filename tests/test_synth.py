@@ -40,6 +40,15 @@ class TestWorldSpec:
         with pytest.raises(ConfigurationError):
             generate_world(WorldSpec(layout="random-partition", extent=(1.0, 1.0)))
 
+    @pytest.mark.parametrize("extent", [(3.0, 2.0), (4.5, 2.3), (4.6, 2.2)])
+    def test_twin_rooms_extent_below_its_margins(self, extent):
+        with pytest.raises(ConfigurationError, match=r"at least 4\.6 x 2\.3 m"):
+            generate_world(WorldSpec(extent=extent))
+
+    def test_twin_rooms_minimum_extent_builds(self):
+        plan, _ = generate_world(WorldSpec(extent=(4.6, 2.3), seed=2))
+        assert plan.occupancy.shape == (23, 46)
+
 
 class TestGenerateWorld:
     def test_deterministic(self):
