@@ -27,7 +27,7 @@ from .contrastive import (
     train_linear_embedder,
     write_sample_manifest,
 )
-from .crops import Crop, extract_crop, write_crop_channels
+from .crops import N_TEXTURE_IDS, POOL_BLOCKS, Crop, extract_crop, write_crop_channels
 from .disambig import localize
 from .errors import ConfigurationError, FormatError, RaylocError, ValidationError
 from .floorplan import (
@@ -38,7 +38,7 @@ from .floorplan import (
     save_floorplan,
     write_pgm,
 )
-from .metrics import EvalRecord, evaluate
+from .metrics import EvalRecord, EvalReport, evaluate
 from .scoring import check_depth_range, probmap_graymap, write_probmap
 from .synth import (
     NoiseSpec,
@@ -59,10 +59,6 @@ FLOAT_FMT = "{:.6f}"
 PEER_NEGATIVES = 16
 
 
-def _fmt(value: float) -> str:
-    return FLOAT_FMT.format(float(value))
-
-
 def _write_json(path: str, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -77,6 +73,35 @@ def _require_file(path: str) -> str:
     if not os.path.exists(path):
         raise FileNotFoundError(path)
     return path
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """Header row, then one line per row; floats are written with FLOAT_FMT."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([FLOAT_FMT.format(v) if isinstance(v, float) else v for v in row])
+
+
+def _read_columns(path: str, names: list[str]) -> np.ndarray:
+    """The named columns of a CSV file with a header row, as an (n_rows,
+    len(names)) array. Every value must be a finite number."""
+    with open(_require_file(path), "r", newline="") as fh:
+        try:
+            reader = csv.DictReader(fh)
+            if not set(names) <= set(reader.fieldnames or ()):
+                raise FormatError(f"{path}: expected columns {names}")
+            values = np.array([[float(row[n]) for n in names] for row in reader])
+        except (csv.Error, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: malformed {'/'.join(names)} value: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        raise FormatError(f"{path}: {'/'.join(names)} values must be finite")
+    return values.reshape(-1, len(names))
+
+
+def _recalls(report: EvalReport) -> dict:
+    return {key: value for key, value in report.as_dict().items() if key != "n"}
 
 
 # ---------------------------------------------------------------------------
@@ -110,11 +135,11 @@ def cmd_cast(cfg: RunConfig, args) -> int:
     )
     bearings = ray_bearings(args.theta, cfg.rays.n_rays, cfg.rays.fov)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "rays.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bearing_rad", "depth_m", "hit"])
-        for bearing, depth, hit in zip(bearings, fan.depths, fan.hits):
-            writer.writerow([_fmt(bearing), _fmt(depth), int(hit)])
+    _write_csv(
+        os.path.join(args.out, "rays.csv"),
+        ["bearing_rad", "depth_m", "hit"],
+        zip(bearings, fan.depths, fan.hits.astype(int)),
+    )
     echo_config(cfg, args.out)
     return 0
 
@@ -132,11 +157,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         max_range=cfg.rays.max_range_m,
     )
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "rays.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ray", "depth_m"])
-        for i, depth in enumerate(pred):
-            writer.writerow([i, _fmt(depth)])
+    _write_csv(os.path.join(args.out, "rays.csv"), ["ray", "depth_m"], enumerate(pred))
     _write_json(
         os.path.join(args.out, "signature.json"),
         {
@@ -169,22 +190,8 @@ def _load_signature(path: str) -> ObservationSignature:
                     dropout=float(doc["noise"]["dropout"]),
                 ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
             raise FormatError(f"{path}: malformed signature: {exc!r}") from exc
-
-
-def _read_depth_csv(path: str) -> np.ndarray:
-    with open(_require_file(path), "r", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "depth_m" not in reader.fieldnames:
-            raise FormatError(f"{path}: expected a depth_m column")
-        try:
-            depths = np.asarray([float(row["depth_m"]) for row in reader])
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: malformed depth_m value: {exc}") from exc
-    if not np.all(np.isfinite(depths)):
-        raise FormatError(f"{path}: depth_m values must be finite")
-    return depths
 
 
 def cmd_localize(cfg: RunConfig, args) -> int:
@@ -200,16 +207,25 @@ def cmd_localize(cfg: RunConfig, args) -> int:
             raise ConfigurationError(f"bad --{param}: {exc}") from exc
 
     plan = load_floorplan(_require_file(args.map))
-    pred = _read_depth_csv(args.rays)
+    pred = _read_columns(args.rays, ["depth_m"])[:, 0]
     if pred.size != cfg.rays.n_rays:
         raise ConfigurationError(
             f"rays file has {pred.size} rays, config expects {cfg.rays.n_rays}"
         )
     check_depth_range(pred, cfg.rays.max_range_m)  # before the table build
     if args.query_emb:
-        query = read_embeddings(_require_file(args.query_emb))[0]
+        embeddings = read_embeddings(_require_file(args.query_emb))
+        if embeddings.shape[0] == 0 or not np.all(np.isfinite(embeddings[0])):
+            raise FormatError(f"{args.query_emb}: the first row must exist and be finite")
+        if embeddings.shape[1] != cfg.embedder.dim:
+            raise ConfigurationError(
+                f"query embedding has width {embeddings.shape[1]}, "
+                f"config expects embedder.dim = {cfg.embedder.dim}"
+            )
+        query = embeddings[0]
     elif args.signature:
         query = _load_signature(args.signature)
+        check_depth_range(query.depths, cfg.rays.max_range_m, "signature depths")
     else:
         raise ConfigurationError("localize needs --signature or --query-emb")
 
@@ -231,21 +247,15 @@ def cmd_localize(cfg: RunConfig, args) -> int:
     _write_json(os.path.join(args.out, "pose.json"), _pose_doc(result.pose))
     write_probmap(result.dafpm, os.path.join(args.out, "dafpm.dpmf"))
     write_pgm(os.path.join(args.out, "dafpm.pgm"), probmap_graymap(result.dafpm))
-    with open(os.path.join(args.out, "candidates.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "theta", "depth_prob", "visual_prob", "fused_prob"])
-        depth_scores = result.candidates.scores / result.candidates.scores.sum()
-        for i, pose in enumerate(result.candidates.poses):
-            writer.writerow(
-                [
-                    _fmt(pose.x),
-                    _fmt(pose.y),
-                    _fmt(pose.theta),
-                    _fmt(depth_scores[i]),
-                    _fmt(result.dpm[i]),
-                    _fmt(result.fused[i]),
-                ]
-            )
+    depth_scores = result.candidates.scores / result.candidates.scores.sum()
+    _write_csv(
+        os.path.join(args.out, "candidates.csv"),
+        ["x", "y", "theta", "depth_prob", "visual_prob", "fused_prob"],
+        (
+            (p.x, p.y, p.theta, *probs)
+            for p, *probs in zip(result.candidates.poses, depth_scores, result.dpm, result.fused)
+        ),
+    )
     echo_config(cfg, args.out)
     return 0
 
@@ -269,6 +279,10 @@ def _mining_dataset(cfg: RunConfig):
     for j in range(cfg.bench.n_anchors):
         which = j % len(plans)
         pool = pose_pools[which]
+        if not pool:
+            raise ConfigurationError(
+                f"world seed {cfg.world.seed + which} yields no ground-truth poses to mine"
+            )
         dataset.append((plans[which], pool[int(rng.integers(len(pool)))]))
     return plans, dataset
 
@@ -351,47 +365,25 @@ def cmd_train_embedder(cfg: RunConfig, args) -> int:
     np.savez(
         os.path.join(args.out, "embedder.npz"),
         weights=embedder.weights,
-        n_texture_ids=embedder.n_texture_ids,
-        blocks=embedder.blocks,
+        n_texture_ids=N_TEXTURE_IDS,
+        blocks=POOL_BLOCKS,
     )
-    with open(os.path.join(args.out, "loss_trace.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss"])
-        for epoch, loss in enumerate(trace):
-            writer.writerow([epoch, _fmt(loss)])
+    _write_csv(os.path.join(args.out, "loss_trace.csv"), ["epoch", "loss"], enumerate(trace))
     echo_config(cfg, args.out)
     return 0
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
-    records = []
-    with open(_require_file(args.predictions), "r", newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"pred_x", "pred_y", "pred_theta", "gt_x", "gt_y", "gt_theta"}
-        if reader.fieldnames is None or not needed <= set(reader.fieldnames):
-            raise FormatError(
-                f"{args.predictions}: expected columns {sorted(needed)}"
-            )
-        for row in reader:
-            records.append(
-                EvalRecord(
-                    predicted=Pose(
-                        float(row["pred_x"]), float(row["pred_y"]), float(row["pred_theta"])
-                    ),
-                    ground_truth=Pose(
-                        float(row["gt_x"]), float(row["gt_y"]), float(row["gt_theta"])
-                    ),
-                )
-            )
-    report = evaluate(records)
+    columns = _read_columns(
+        args.predictions, ["pred_x", "pred_y", "pred_theta", "gt_x", "gt_y", "gt_theta"]
+    )
+    report = evaluate([EvalRecord(Pose(*r[:3]), Pose(*r[3:])) for r in columns.tolist()])
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "report.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "recall", "n"])
-        writer.writerow(["0.1m", _fmt(report.recall_0_1m), report.n])
-        writer.writerow(["0.5m", _fmt(report.recall_0_5m), report.n])
-        writer.writerow(["1m", _fmt(report.recall_1m), report.n])
-        writer.writerow(["1m_30deg", _fmt(report.recall_1m_30deg), report.n])
+    _write_csv(
+        os.path.join(args.out, "report.csv"),
+        ["threshold", "recall", "n"],
+        [(key.removeprefix("recall_"), v, report.n) for key, v in _recalls(report).items()],
+    )
     _write_json(os.path.join(args.out, "report.json"), report.as_dict())
     echo_config(cfg, args.out)
     return 0
@@ -409,31 +401,14 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     queries = bench_mod.sample_queries(bench, cfg.bench.n_queries, cfg.bench.query_seed)
     rows = bench_mod.sweep(bench, points, queries, noise=cfg.noise, seed=cfg.seed)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "sweep.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                args.param,
-                "recall_0.1m",
-                "recall_0.5m",
-                "recall_1m",
-                "recall_1m_30deg",
-                "room_accuracy",
-                "n",
-            ]
-        )
-        for value, outcome in rows:
-            writer.writerow(
-                [
-                    _fmt(value),
-                    _fmt(outcome.report.recall_0_1m),
-                    _fmt(outcome.report.recall_0_5m),
-                    _fmt(outcome.report.recall_1m),
-                    _fmt(outcome.report.recall_1m_30deg),
-                    _fmt(outcome.room_accuracy),
-                    outcome.report.n,
-                ]
-            )
+    _write_csv(
+        os.path.join(args.out, "sweep.csv"),
+        [args.param, *_recalls(rows[0][1].report), "room_accuracy", "n"],
+        (
+            (value, *_recalls(outcome.report).values(), outcome.room_accuracy, outcome.report.n)
+            for value, outcome in rows
+        ),
+    )
     echo_config(cfg, args.out)
     return 0
 
@@ -459,19 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-world", help="generate a synthetic floorplan")
     common(p)
 
-    p = sub.add_parser("cast", help="cast a ray fan from a pose")
-    common(p)
-    p.add_argument("--map", required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
-    p.add_argument("--theta", type=float, default=0.0)
-
-    p = sub.add_parser("simulate", help="simulate a noisy observation")
-    common(p)
-    p.add_argument("--map", required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
-    p.add_argument("--theta", type=float, default=0.0)
+    for name, what in (("cast", "cast a ray fan"), ("simulate", "simulate a noisy observation")):
+        p = sub.add_parser(name, help=f"{what} from a pose")
+        common(p)
+        p.add_argument("--map", required=True)
+        p.add_argument("--x", type=float, required=True)
+        p.add_argument("--y", type=float, required=True)
+        p.add_argument("--theta", type=float, default=0.0)
 
     p = sub.add_parser("localize", help="run the full localization pipeline")
     common(p)
@@ -545,10 +514,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         return COMMANDS[args.command](cfg, args)
-    except FileNotFoundError as exc:
-        _emit_error(args, EXIT_MISSING, exc)
-        return EXIT_MISSING
-    except FormatError as exc:
+    except (FileNotFoundError, FormatError) as exc:
         _emit_error(args, EXIT_MISSING, exc)
         return EXIT_MISSING
     except ConfigurationError as exc:

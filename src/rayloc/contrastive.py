@@ -10,20 +10,18 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crops import Crop, CropSpec, block_mean, extract_crop
+from .crops import N_TEXTURE_IDS, POOL_BLOCKS, Crop, CropSpec, block_mean, extract_crop
 from .errors import (
     ConfigurationError,
-    FormatError,
     MiningExhaustedError,
     TrainingFailureError,
     ValidationError,
 )
-from .floorplan import TWO_PI, FloorPlan, Pose
+from .floorplan import TWO_PI, FloorPlan, Pose, _read_tensor, _write_tensor
 
 DEFAULT_TAU = 0.07
 UNIT_NORM_TOL = 1e-6
@@ -344,16 +342,16 @@ def mine_samples(
 # ---------------------------------------------------------------------------
 
 
-def crop_features(crop: Crop, n_texture_ids: int = 16, blocks: int = 8) -> np.ndarray:
+def crop_features(crop: Crop) -> np.ndarray:
     """Fixed featurization of a crop for the linear embedder: block-averaged
     occupancy plus block-averaged one-hot texture indicator maps (texture ids
     are categorical, so they are one-hot encoded before flattening)."""
     maps = crop.occupancy()[None]
     tex = crop.texture()
     if tex is not None:
-        ids = np.arange(1, n_texture_ids + 1)[:, None, None]
+        ids = np.arange(1, N_TEXTURE_IDS + 1)[:, None, None]
         maps = np.concatenate([maps, tex[None] == ids])
-    return block_mean(maps, blocks).ravel()
+    return block_mean(maps, POOL_BLOCKS).ravel()
 
 
 @dataclass(frozen=True)
@@ -361,14 +359,12 @@ class LinearEmbedder:
     """Unit-normalized linear map from crop feature vectors to dimension E."""
 
     weights: np.ndarray  # (E, F)
-    n_texture_ids: int = 16
-    blocks: int = 8
 
     def embed_features(self, feats: np.ndarray) -> np.ndarray:
         if np.shape(feats) != self.weights.shape[1:]:
             raise ValidationError(
-                f"embedder weights take {self.weights.shape[1]} features, got shape "
-                f"{np.shape(feats)} (pooled with other n_texture_ids or blocks?)"
+                f"embedder weights take {self.weights.shape[1]} features, "
+                f"got shape {np.shape(feats)}"
             )
         u = self.weights @ feats
         norm = np.linalg.norm(u)
@@ -377,7 +373,7 @@ class LinearEmbedder:
         return u / norm
 
     def embed_crop(self, crop: Crop) -> np.ndarray:
-        return self.embed_features(crop_features(crop, self.n_texture_ids, self.blocks))
+        return self.embed_features(crop_features(crop))
 
     def __call__(self, crop: Crop) -> np.ndarray:
         return self.embed_crop(crop)
@@ -397,19 +393,14 @@ class TrainingSample:
 def build_training_samples(
     mined: list[MinedSample],
     anchor_embeddings: np.ndarray,
-    n_texture_ids: int = 16,
-    blocks: int = 8,
 ) -> list[TrainingSample]:
     if len(mined) != len(anchor_embeddings):
         raise ValidationError("one anchor embedding per mined sample required")
     samples = []
     for sample, emb in zip(mined, anchor_embeddings):
-        positive = crop_features(sample.positive, n_texture_ids, blocks)
+        positive = crop_features(sample.positive)
         position_negatives, orientation_negatives = (
-            np.reshape(
-                [crop_features(c, n_texture_ids, blocks) for c in crops],
-                (-1, positive.size),
-            )
+            np.reshape([crop_features(c) for c in crops], (-1, positive.size))
             for crops in (sample.position_negatives, sample.orientation_negatives)
         )
         samples.append(
@@ -488,8 +479,6 @@ def train_linear_embedder(
     seed: int = 0,
     tau: float = DEFAULT_TAU,
     denominator: str = DENOM_WITH_POSITIVE,
-    n_texture_ids: int = 16,
-    blocks: int = 8,
 ) -> tuple[LinearEmbedder, np.ndarray]:
     """Full-batch gradient descent of the contrastive loss over a linear
     crop embedder; the visual-side (anchor) embeddings stay frozen.
@@ -520,10 +509,7 @@ def train_linear_embedder(
     rng = np.random.default_rng(seed)
     weights = rng.normal(scale=1.0 / math.sqrt(n_features), size=(dim, n_features))
     weights, trace = _train_batched(samples, weights, epochs, learning_rate, tau, denominator)
-    return (
-        LinearEmbedder(weights=weights, n_texture_ids=n_texture_ids, blocks=blocks),
-        trace,
-    )
+    return LinearEmbedder(weights=weights), trace
 
 
 def _train_batched(
@@ -593,28 +579,13 @@ def _train_batched(
 
 
 def write_embeddings(path: str, embeddings: np.ndarray) -> None:
-    """Binary embedding file: magic, count and dimension as u32 little-endian,
-    then float32 values. Lets externally computed embeddings be dropped in."""
-    arr = np.atleast_2d(np.asarray(embeddings, dtype=float))
-    with open(path, "wb") as fh:
-        fh.write(EMB_MAGIC)
-        fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-        fh.write(arr.astype("<f4").tobytes())
+    """EMB1 tensor file of (count, dim) embeddings. Lets externally computed
+    embeddings be dropped in."""
+    _write_tensor(path, EMB_MAGIC, np.atleast_2d(np.asarray(embeddings, dtype=float)))
 
 
 def read_embeddings(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != EMB_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        header = fh.read(8)
-        if len(header) != 8:
-            raise FormatError(f"{path}: truncated header")
-        count, dim = struct.unpack("<II", header)
-        data = fh.read(count * dim * 4)
-        if len(data) != count * dim * 4:
-            raise FormatError(f"{path}: truncated values")
-    return np.frombuffer(data, dtype="<f4").reshape(count, dim).astype(float)
+    return _read_tensor(path, EMB_MAGIC, 2)
 
 
 def write_sample_manifest(path: str, records: list[dict]) -> None:

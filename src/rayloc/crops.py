@@ -24,6 +24,11 @@ OCCUPANCY_TEXTURE = "occupancy+texture"
 PAD_OCCUPANCY = 1  # outside the building behaves like wall
 PAD_TEXTURE = 0
 
+# the one pooled layout of every crop embedder: one feature per texture id in
+# 1..N_TEXTURE_IDS, and maps block-averaged to POOL_BLOCKS x POOL_BLOCKS
+N_TEXTURE_IDS = 16
+POOL_BLOCKS = 8
+
 
 @dataclass(frozen=True)
 class CropSpec:

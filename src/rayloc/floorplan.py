@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -362,7 +363,7 @@ def march_ray(
 
 
 # ---------------------------------------------------------------------------
-# Persistence: portable graymaps + JSON metadata
+# Persistence: portable graymaps + JSON metadata, float32 tensors
 # ---------------------------------------------------------------------------
 
 
@@ -433,6 +434,31 @@ def write_pgm(path: str, values: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(arr.tobytes())
+
+
+def _write_tensor(path: str, magic: bytes, values: np.ndarray) -> None:
+    """Binary tensor file (DPMF, EMB1): the 4-byte magic, each dimension as a
+    little-endian u32, then the values as little-endian float32, row-major."""
+    arr = np.asarray(values)
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack(f"<{arr.ndim}I", *arr.shape))
+        fh.write(arr.astype("<f4").tobytes())
+
+
+def _read_tensor(path: str, magic: bytes, ndim: int) -> np.ndarray:
+    """Read back a ``_write_tensor`` file of ``ndim`` dimensions as float64."""
+    with open(path, "rb") as fh:
+        found = fh.read(4)
+        header = fh.read(4 * ndim)
+        data = fh.read()  # never sized from the header: a corrupt one may be huge
+    if found != magic:
+        raise FormatError(f"{path}: bad magic {found!r}")
+    if len(header) != 4 * ndim:
+        raise FormatError(f"{path}: truncated header")
+    shape = struct.unpack(f"<{ndim}I", header)
+    if len(data) < 4 * math.prod(shape):
+        raise FormatError(f"{path}: truncated values")
+    return np.frombuffer(data, dtype="<f4", count=math.prod(shape)).reshape(shape).astype(float)
 
 
 def _metadata_path(map_path: str) -> str:

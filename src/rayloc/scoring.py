@@ -8,13 +8,12 @@ that pose, then normalizes to a probability map over (row, col, orientation).
 from __future__ import annotations
 
 import math
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyDomainError, FormatError, ValidationError
+from .errors import EmptyDomainError, ValidationError
 from .floorplan import (
     DEFAULT_FOV,
     DEFAULT_MAX_RANGE,
@@ -22,6 +21,8 @@ from .floorplan import (
     TWO_PI,
     FloorPlan,
     Pose,
+    _read_tensor,
+    _write_tensor,
     cast_rays,
     ray_bearings,
 )
@@ -153,11 +154,11 @@ class CandidateSet:
         return len(self.poses)
 
 
-def check_depth_range(depths: np.ndarray, max_range: float) -> None:
-    """Reject predicted depths that are non-finite or outside [0, max_range]."""
+def check_depth_range(depths: np.ndarray, max_range: float, what: str = "predicted depths") -> None:
+    """Reject depths that are non-finite or outside [0, max_range]."""
     # same tolerance as RayFan: decoded depths can sit an ulp above max_range
     if not np.all((depths >= 0) & (depths <= max_range + 1e-12)):
-        raise ValidationError(f"predicted depths must be finite and lie in [0, {max_range}]")
+        raise ValidationError(f"{what} must be finite and lie in [0, {max_range}]")
 
 
 class GridScorer:
@@ -303,29 +304,14 @@ def top_x(pmap: ProbMap, x: int = 100) -> CandidateSet:
 
 
 def write_probmap(pmap: ProbMap, path: str) -> None:
-    """Binary tensor file: magic, dims as u32 little-endian, float32 values
-    row-major with orientation minor."""
-    rows, cols, n_ori = pmap.shape
-    with open(path, "wb") as fh:
-        fh.write(PROBMAP_MAGIC)
-        fh.write(struct.pack("<III", rows, cols, n_ori))
-        fh.write(pmap.values.astype("<f4").tobytes())
+    """DPMF tensor file of the (rows, cols, n_orientations) values, row-major
+    with orientation minor."""
+    _write_tensor(path, PROBMAP_MAGIC, pmap.values)
 
 
 def read_probmap_values(path: str) -> np.ndarray:
     """Read back the raw (rows, cols, n_orientations) tensor."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != PROBMAP_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        header = fh.read(12)
-        if len(header) != 12:
-            raise FormatError(f"{path}: truncated header")
-        rows, cols, n_ori = struct.unpack("<III", header)
-        data = fh.read(rows * cols * n_ori * 4)
-        if len(data) != rows * cols * n_ori * 4:
-            raise FormatError(f"{path}: truncated tensor")
-    return np.frombuffer(data, dtype="<f4").reshape(rows, cols, n_ori).astype(float)
+    return _read_tensor(path, PROBMAP_MAGIC, 3)
 
 
 def probmap_graymap(pmap: ProbMap) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .crops import Crop, block_mean
+from .crops import N_TEXTURE_IDS, POOL_BLOCKS, Crop, block_mean
 from .errors import ConfigurationError, ValidationError
 from .floorplan import (
     DEFAULT_FOV,
@@ -81,6 +81,10 @@ class ObservationSignature:
     def __post_init__(self):
         depths = np.asarray(self.depths, dtype=float).copy()
         counts = np.asarray(self.texture_counts, dtype=np.int64).copy()
+        if depths.ndim != 1 or depths.size == 0 or not np.all(np.isfinite(depths)):
+            raise ValidationError("signature depths must be a nonempty list of finite numbers")
+        if counts.shape != (256,):
+            raise ValidationError(f"texture_counts must hold 256 counts, got shape {counts.shape}")
         depths.setflags(write=False)
         counts.setflags(write=False)
         object.__setattr__(self, "depths", depths)
@@ -413,8 +417,6 @@ class RandomProjectionEmbedder:
         self,
         dim: int = 64,
         seed: int = 7,
-        n_texture_ids: int = 16,
-        geom_blocks: int = 8,
         texture_weight: float = 3.0,
         geom_weight: float = 0.1,
         max_range: float = DEFAULT_MAX_RANGE,
@@ -422,14 +424,12 @@ class RandomProjectionEmbedder:
         if dim < 2:
             raise ValidationError("embedding dimension must be >= 2")
         self.dim = dim
-        self.n_texture_ids = n_texture_ids
-        self.geom_blocks = geom_blocks
-        self.geom_len = geom_blocks * geom_blocks
+        self.geom_len = POOL_BLOCKS * POOL_BLOCKS
         self.texture_weight = texture_weight
         self.geom_weight = geom_weight
         self.max_range = max_range
         rng = np.random.default_rng(np.random.SeedSequence([seed, dim]))
-        n_features = n_texture_ids + self.geom_len
+        n_features = N_TEXTURE_IDS + self.geom_len
         self.projection = rng.normal(size=(dim, n_features)) / math.sqrt(n_features)
 
     def _project(self, features: np.ndarray) -> np.ndarray:
@@ -443,7 +443,7 @@ class RandomProjectionEmbedder:
         return u / norm
 
     def _texture_feature(self, counts: np.ndarray) -> np.ndarray:
-        hist = counts[1 : self.n_texture_ids + 1].astype(float)
+        hist = counts[1 : N_TEXTURE_IDS + 1].astype(float)
         total = hist.sum()
         if total > 0:
             hist = hist / total
@@ -465,7 +465,7 @@ class RandomProjectionEmbedder:
         else:
             counts = np.bincount(tex.ravel().astype(np.int64), minlength=256)
         hist = self._texture_feature(counts)
-        geom = block_mean(crop.occupancy(), self.geom_blocks)
+        geom = block_mean(crop.occupancy(), POOL_BLOCKS)
         return self._project(
             np.concatenate([self.texture_weight * hist, self.geom_weight * geom.ravel()])
         )

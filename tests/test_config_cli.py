@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from rayloc.cli import EXIT_CONFIG, EXIT_MISSING, EXIT_RUNTIME, build_parser, main
 from rayloc.config import SCHEMA, _integer, _number, _pair, load_config, parse_config
+from rayloc.contrastive import write_embeddings
 from rayloc.errors import ConfigurationError, RaylocError, ValidationError
 from rayloc.floorplan import cast_ray, load_floorplan
 from rayloc.scoring import MAX_TABLE_RANGE, GridScorer
@@ -459,6 +461,25 @@ class TestCliEval:
         code = main(["eval", "--predictions", str(pred_path), "--out", str(tmp_path / "o")])
         assert code == EXIT_MISSING
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "pred_x,pred_y,pred_theta,gt_x,gt_y,gt_theta\n1,1,0,1,1\n",  # short row
+            "pred_x,pred_y,pred_theta,gt_x,gt_y,gt_theta\n1,abc,0,1,1,0\n",
+            "pred_x,pred_y,pred_theta,gt_x,gt_y,gt_theta\n1,1,0,1,1,0\nnan,1,0,1,1,0\n",
+            "pred_x,pred_y,pred_theta,gt_x,gt_y,gt_theta\n1,1,inf,1,1,0\n",
+        ],
+    )
+    def test_malformed_predictions_are_format_errors(self, tmp_path, content):
+        pred_path = tmp_path / "bad.csv"
+        pred_path.write_text(content)
+        out = tmp_path / "o"
+        assert main(["eval", "--predictions", str(pred_path), "--out", str(out)]) == EXIT_MISSING
+        with open(out / "error.json") as fh:
+            error = json.load(fh)["error"]
+        assert error["type"] == "FormatError"
+        assert not (out / "report.csv").exists()
+
 
 class TestCliExitCodes:
     def test_missing_map(self, small_config_path, tmp_path):
@@ -599,35 +620,84 @@ class TestCliInputErrors:
             ("signature.json", "drop:fov_rad"),
             ("signature.json", "drop:noise"),
             ("signature.json", '{"depths_m": [1.0]'),
+            ("signature.json", "set:texture_counts=[1, 2, 3]"),
+            ("signature.json", "set:depths_m=[]"),
+            ("query.emb", b"EMB1" + struct.pack("<II", 0, 64)),
         ],
     )
     def test_malformed_input_file_is_format_error(
-        self, generated_world, small_config_path, simulated, tmp_path, target, content
+        self, generated_world, small_config_path, simulated, tmp_path, monkeypatch,
+        target, content,
     ):
+        def no_table(*args, **kwargs):
+            raise AssertionError("rendered-fan table built before the inputs were read")
+
+        monkeypatch.setattr(GridScorer, "__init__", no_table)
         sim_out, _ = simulated
         for name in ("map.pgm", "map.json", "map_texture.pgm"):
             (tmp_path / name).write_bytes((generated_world / name).read_bytes())
         for name in ("rays.csv", "signature.json"):
             (tmp_path / name).write_bytes((sim_out / name).read_bytes())
         path = tmp_path / target
-        if content.startswith("drop:"):
-            doc = json.loads(path.read_text())
-            del doc[content[len("drop:"):]]
-            content = json.dumps(doc)
-        elif content in ("nan", "inf"):
-            lines = path.read_text().splitlines()
-            lines[5] = f"4,{content}"
-            content = "\n".join(lines) + "\n"
-        path.write_text(content)
+        extra = ["--query-emb", str(path)] if target == "query.emb" else []
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            if content.startswith("drop:"):
+                doc = json.loads(path.read_text())
+                del doc[content[len("drop:"):]]
+                content = json.dumps(doc)
+            elif content.startswith("set:"):
+                doc = json.loads(path.read_text())
+                key, value = content[len("set:"):].split("=")
+                doc[key] = json.loads(value)
+                content = json.dumps(doc)
+            elif content in ("nan", "inf"):
+                lines = path.read_text().splitlines()
+                lines[5] = f"4,{content}"
+                content = "\n".join(lines) + "\n"
+            path.write_text(content)
         out = tmp_path / "o"
         argv = _localize(
             small_config_path, tmp_path / "map.pgm", tmp_path / "rays.csv",
-            tmp_path / "signature.json", out,
+            tmp_path / "signature.json", out, *extra,
         )
         assert main(argv) == EXIT_MISSING
         error = _error(out)
         assert error["exit"] == EXIT_MISSING
         assert error["type"] == "FormatError"
+
+    def test_query_embedding_width_is_config_error(
+        self, generated_world, small_config_path, simulated, tmp_path, monkeypatch
+    ):
+        def no_table(*args, **kwargs):
+            raise AssertionError("rendered-fan table built before the width check")
+
+        monkeypatch.setattr(GridScorer, "__init__", no_table)
+        sim_out, _ = simulated
+        emb = tmp_path / "q.emb"
+        write_embeddings(str(emb), np.ones((1, 63)) / math.sqrt(63))  # embedder.dim is 64
+        out = tmp_path / "o"
+        argv = _localize(
+            small_config_path, generated_world / "map.pgm", sim_out / "rays.csv",
+            sim_out / "signature.json", out, "--query-emb", str(emb),
+        )
+        assert main(argv) == EXIT_CONFIG
+        error = _error(out)
+        assert error["type"] == "ConfigurationError"
+        assert "63" in error["message"] and "embedder.dim = 64" in error["message"]
+        assert not (out / "pose.json").exists()
+
+    @pytest.mark.parametrize("command", ["mine", "train-embedder"])
+    def test_world_without_poses_is_config_error(self, tmp_path, command):
+        # at 6 x 4 m, world seed 1 leaves no pose with the required wall clearance
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"world": {"extent_m": [6.0, 4.0]}}))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        error = _error(out)
+        assert error["type"] == "ConfigurationError"
+        assert "world seed 1" in error["message"]
 
     def test_depth_beyond_range_is_runtime_error(
         self, generated_world, small_config_path, simulated, tmp_path, monkeypatch
@@ -651,6 +721,21 @@ class TestCliInputErrors:
             error = _error(out)
             assert error["type"] == "ValidationError"
             assert not (out / "pose.json").exists()
+        # signature depths too: at 1e200 m the embedding's norm overflows
+        for bad in (-0.5, 10.5, 1e200):
+            signature = tmp_path / f"sig{bad}.json"
+            doc = json.loads((sim_out / "signature.json").read_text())
+            doc["depths_m"] = [bad] * len(doc["depths_m"])
+            signature.write_text(json.dumps(doc))
+            out = tmp_path / f"s{bad}"
+            argv = _localize(
+                small_config_path, generated_world / "map.pgm", sim_out / "rays.csv",
+                signature, out,
+            )
+            assert main(argv) == EXIT_RUNTIME
+            error = _error(out)
+            assert error["type"] == "ValidationError"
+            assert "signature depths" in error["message"]
 
     @pytest.mark.parametrize(
         "param, values",

@@ -453,14 +453,15 @@ class TestMining:
 class TestCropFeatures:
     def test_shape_and_block_means(self, textured_box_plan):
         crop = extract_crop(
-            textured_box_plan, Pose(0.5, 0.5, 0.0), CropSpec(side_m=0.8, out_px=8)
+            textured_box_plan, Pose(0.5, 0.5, 0.0), CropSpec(side_m=0.8, out_px=16)
         )
-        feats = crop_features(crop, n_texture_ids=4, blocks=2)
-        assert feats.shape == (2 * 2 * (1 + 4),)
-        occ = crop.occupancy().astype(float)
-        assert feats[0] == pytest.approx(occ[:4, :4].mean())
-        tex1 = (crop.texture() == 1).astype(float)
-        assert feats[4] == pytest.approx(tex1[:4, :4].mean())
+        feats = crop_features(crop)
+        assert feats.shape == (8 * 8 * (1 + 16),)
+        # occupancy, then one indicator map per texture id 1..16, each in 8x8 blocks of 2x2 px
+        maps = [crop.occupancy()] + [crop.texture() == k for k in range(1, 17)]
+        expect = [m.astype(float).reshape(8, 2, 8, 2).mean(axis=(1, 3)) for m in maps]
+        assert np.array_equal(feats, np.ravel(expect))
+        assert feats[64:192].any() and not feats[192:].any()  # ids 1 and 2 only
 
     def test_occupancy_only_crop(self, box_plan):
         crop = extract_crop(
@@ -468,7 +469,7 @@ class TestCropFeatures:
             Pose(0.5, 0.5, 0.0),
             CropSpec(side_m=0.8, out_px=8, channels="occupancy"),
         )
-        assert crop_features(crop, blocks=4).shape == (16,)
+        assert crop_features(crop).shape == (64,)
 
 
 class TestLinearEmbedder:
@@ -484,18 +485,12 @@ class TestLinearEmbedder:
             emb.embed_features(np.ones(6))
 
     def test_feature_width_mismatch_names_both_widths(self, mining_world):
-        crop_spec = CropSpec(side_m=3.0, out_px=16)
-        mined = [
-            mine_samples(mining_world, j, PerturbSpec(), MiningSpec(), crop_spec)
-            for j in range(2)
-        ]
-        # trained on 4x4-block features (272 wide), the embedder keeps its
-        # default of 8x8 blocks and pools crops 1088 wide
-        samples = build_training_samples(mined, np.eye(2, 4), blocks=4)
-        embedder, _ = train_linear_embedder(samples, dim=4, epochs=2)
+        # weights 272 wide against the fixed layout, which pools crops 1088 wide
+        embedder = LinearEmbedder(weights=np.ones((4, 272)))
         plan, pose = mining_world[0]
+        crop = extract_crop(plan, pose, CropSpec(side_m=3.0, out_px=16))
         with pytest.raises(ValidationError, match=r"272 features, got shape \(1088,\)"):
-            embedder.embed_crop(extract_crop(plan, pose, crop_spec))
+            embedder.embed_crop(crop)
 
 
 def _toy_samples(n=12, n_feats=10, dim=6, seed=0):
@@ -651,14 +646,14 @@ class TestBuildTrainingSamples:
         mined = [mine_samples(mining_world, j, PerturbSpec(), spec, crop) for j in range(3)]
         with pytest.raises(ValidationError):
             build_training_samples(mined, np.zeros((2, 8)))
-        samples = build_training_samples(mined, np.eye(3, 8), blocks=4)
+        samples = build_training_samples(mined, np.eye(3, 8))
         assert len(samples) == 3
         assert samples[0].position_negative_features.shape[0] == 2
         assert samples[0].orientation_negative_features.shape[0] == 1
         # an empty family keeps the feature width
         bare = replace(mined[0], orientation_negatives=())
-        (sample,) = build_training_samples([bare], np.eye(1, 8), blocks=4)
-        assert sample.orientation_negative_features.shape == (0, 4 * 4 * 17)
+        (sample,) = build_training_samples([bare], np.eye(1, 8))
+        assert sample.orientation_negative_features.shape == (0, 8 * 8 * 17)
         assert np.array_equal(
             sample.position_negative_features, samples[0].position_negative_features
         )
@@ -672,7 +667,7 @@ class TestPeerNegatives:
             mine_samples(mining_world, j, PerturbSpec(), spec, crop)
             for j in range(len(mining_world))
         ]
-        samples = build_training_samples(mined, np.eye(len(mined), 8), blocks=4)
+        samples = build_training_samples(mined, np.eye(len(mined), 8))
         out = add_peer_negatives(samples, mining_world, n_peers=4, min_dist=1.5, seed=1)
         assert len(out) == len(samples)
         for before, after in zip(samples, out):
@@ -685,7 +680,7 @@ class TestPeerNegatives:
         spec = MiningSpec(n_inner=1, n_cross=1, n_ori=1, seed=0)
         crop = CropSpec(side_m=3.0, out_px=15)
         mined = [mine_samples(mining_world, j, PerturbSpec(), spec, crop) for j in range(2)]
-        samples = build_training_samples(mined, np.eye(2, 8), blocks=4)
+        samples = build_training_samples(mined, np.eye(2, 8))
         with pytest.raises(MiningExhaustedError):
             add_peer_negatives(samples, mining_world[:2], n_peers=5, seed=0)
 
@@ -693,7 +688,7 @@ class TestPeerNegatives:
         spec = MiningSpec(n_inner=1, n_cross=1, n_ori=1, seed=0)
         crop = CropSpec(side_m=3.0, out_px=15)
         mined = [mine_samples(mining_world, j, PerturbSpec(), spec, crop) for j in range(2)]
-        samples = build_training_samples(mined, np.eye(2, 8), blocks=4)
+        samples = build_training_samples(mined, np.eye(2, 8))
         out = add_peer_negatives(samples, mining_world[:2], n_peers=0)
         assert all(a is b for a, b in zip(out, samples))
 

@@ -203,6 +203,16 @@ class TestSimulateObservation:
         room = plan.texture[plan.world_to_cell(pose.x, pose.y)]
         assert counts[room] > 0
 
+    @pytest.mark.parametrize(
+        "depths, counts",
+        [([], 256), ([[1.0, 2.0]], 256), ([1.0, math.nan], 256), ([1.0], 255), ([1.0], 17)],
+    )
+    def test_signature_shapes_are_checked(self, depths, counts):
+        with pytest.raises(ValidationError):
+            ObservationSignature(
+                depths=depths, texture_counts=np.zeros(counts), fov=1.0, max_range=10.0
+            )
+
     def test_noise_spec_validation(self):
         with pytest.raises(ValidationError):
             NoiseSpec(depth_sigma=-1.0)
