@@ -28,10 +28,10 @@ class Benchmark:
 
 
 def build_pipeline(
-    cfg: RunConfig, plan: FloorPlan, threads: int = 1
+    cfg: RunConfig, plan: FloorPlan, threads: int | None = None
 ) -> tuple[GridScorer, RandomProjectionEmbedder]:
-    """The run config's table scorer (built on `threads` threads) and
-    reference embedder for one map."""
+    """The run config's table scorer (built on `threads` threads, by default
+    every usable CPU) and reference embedder for one map."""
     stride = cfg.grid.cell_stride_m
     if stride is None:
         stride = default_cell_stride(plan.resolution)
@@ -47,7 +47,7 @@ def build_pipeline(
     return scorer, embedder
 
 
-def build_benchmark(cfg: RunConfig = RunConfig(), threads: int = 1) -> Benchmark:
+def build_benchmark(cfg: RunConfig = RunConfig(), threads: int | None = None) -> Benchmark:
     """Generate the config's world and build its rendered-fan table once."""
     plan, poses = generate_world(cfg.world)
     scorer, embedder = build_pipeline(cfg, plan, threads)

@@ -70,8 +70,11 @@ def _pose_doc(pose: Pose) -> dict:
 
 
 def _require_file(path: str) -> str:
+    """`path`, if it names a regular file that this process may read."""
     if not os.path.exists(path):
         raise FileNotFoundError(path)
+    if not os.path.isfile(path) or not os.access(path, os.R_OK):
+        raise FormatError(f"{path}: not a readable file")
     return path
 
 
@@ -444,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("localize", help="run the full localization pipeline")
     common(p)
-    p.add_argument("--threads", type=int, default=1, help="table-build worker threads")
+    p.add_argument("--threads", type=int, help="table-build worker threads (default: usable CPUs)")
     p.add_argument("--map", required=True)
     p.add_argument("--rays", required=True, help="CSV with a depth_m column")
     p.add_argument("--signature", default=None, help="signature JSON from simulate")
@@ -467,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="re-run the benchmark over one parameter")
     common(p)
-    p.add_argument("--threads", type=int, default=1, help="table-build worker threads")
+    p.add_argument("--threads", type=int, help="table-build worker threads (default: usable CPUs)")
     p.add_argument("--param", choices=["w", "x", "crop-m"], required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
 
@@ -501,12 +504,12 @@ def _emit_error(args, code: int, exc: Exception) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config and _require_file(args.config))
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        if getattr(args, "threads", 1) < 1:
+        if getattr(args, "threads", None) is not None and args.threads < 1:
             raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, FormatError) as exc:
         _emit_error(args, EXIT_MISSING, exc)
         return EXIT_MISSING
     except RaylocError as exc:

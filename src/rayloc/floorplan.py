@@ -34,6 +34,10 @@ DEFAULT_FOV = math.radians(108.0)  # horizontal field of view
 
 WALL_THRESHOLD = 128  # graymap pixel < 128 => wall
 
+# cell codes of the padded grid that cast_rays walks
+_FREE, _WALL, _OUTSIDE = 0, 1, 2
+_COMPACT_STEPS = 8  # traversal steps between compactions of the live rays
+
 
 @dataclass(frozen=True)
 class Pose:
@@ -45,9 +49,6 @@ class Pose:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
-
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
 
     def rotated(self, dtheta: float) -> "Pose":
         return Pose(self.x, self.y, self.theta + dtheta)
@@ -123,9 +124,6 @@ class FloorPlan:
             return False
         return not bool(self.occupancy[row, col])
 
-    def free_fraction(self) -> float:
-        return 1.0 - float(self.occupancy.mean())
-
 
 @dataclass(frozen=True)
 class RayFan:
@@ -190,7 +188,8 @@ def cast_rays(
     map or exceed max_range are clamped to max_range with hit == False.
 
     Origins must lie in free cells inside the map (not validated here; the
-    scalar wrapper :func:`cast_ray` validates).
+    scalar wrapper :func:`cast_ray` validates); a ray whose origin lies outside
+    the map returns max_range, no hit.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     ys = np.asarray(ys, dtype=float).ravel()
@@ -198,7 +197,16 @@ def cast_rays(
     n = xs.size
     res = plan.resolution
     h, w = plan.height_cells, plan.width_cells
-    occ = plan.occupancy
+
+    # The walk moves a linear index one cell per step through the occupancy
+    # grid padded with a one-cell ring, so a ray that leaves the map stops on
+    # that ring. A ray that reaches a wall or the ring is frozen there (zero
+    # steps and increments); every _COMPACT_STEPS steps the frozen rays are
+    # recorded and only the live rays' state is kept.
+    stride = w + 2
+    cells = np.full((h + 2, stride), _OUTSIDE, dtype=np.uint8)
+    cells[1:-1, 1:-1] = plan.occupancy
+    cells = cells.ravel()
 
     px = (xs - plan.origin[0]) / res
     py = (ys - plan.origin[1]) / res
@@ -207,8 +215,6 @@ def cast_rays(
 
     dx = np.cos(bearings)
     dy = np.sin(bearings)
-    step_x = np.where(dx >= 0, 1, -1).astype(np.int64)
-    step_y = np.where(dy >= 0, 1, -1).astype(np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_dx = np.where(dx != 0, 1.0 / dx, np.inf)
         inv_dy = np.where(dy != 0, 1.0 / dy, np.inf)
@@ -219,40 +225,44 @@ def cast_rays(
         t_max_y = np.where(
             dy != 0, (cy + (dy > 0).astype(float) - py) * inv_dy, np.inf
         )
-    t_delta_x = np.abs(inv_dx)
-    t_delta_y = np.abs(inv_dy)
 
     depth = np.full(n, float(max_range))
     hit = np.zeros(n, dtype=bool)
     range_cells = max_range / res
 
-    active = np.arange(n)
-    while active.size:
-        tx = t_max_x[active]
-        ty = t_max_y[active]
-        go_x = tx <= ty
-        t_cross = np.where(go_x, tx, ty)
+    # A step crosses into its cell at min(t_max_x, t_max_y), which never
+    # decreases along a ray: a ray is dropped once its next crossing lies
+    # beyond range, and a wall is a hit only when crossed within range.
+    ids = np.flatnonzero(
+        (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
+        & (np.minimum(t_max_x, t_max_y) < range_cells)
+    )
+    lin = ((cy + 1) * stride + cx + 1)[ids]
+    step_x = np.where(dx >= 0, 1, -1)[ids]
+    step_y = np.where(dy >= 0, stride, -stride)[ids]
+    t_max_x, t_max_y = t_max_x[ids], t_max_y[ids]
+    t_delta_x, t_delta_y = np.abs(inv_dx)[ids], np.abs(inv_dy)[ids]
+    state = (ids, lin, step_x, step_y, t_max_x, t_max_y, t_delta_x, t_delta_y)
 
-        cx[active] += np.where(go_x, step_x[active], 0)
-        cy[active] += np.where(go_x, 0, step_y[active])
-        t_max_x[active] += np.where(go_x, t_delta_x[active], 0.0)
-        t_max_y[active] += np.where(go_x, 0.0, t_delta_y[active])
-
-        acx = cx[active]
-        acy = cy[active]
-        beyond = t_cross >= range_cells
-        inside = (acx >= 0) & (acx < w) & (acy >= 0) & (acy < h)
-        wall = np.zeros(active.size, dtype=bool)
-        ok = inside & ~beyond
-        wall[ok] = occ[acy[ok], acx[ok]]
-
-        hit_now = wall
-        if np.any(hit_now):
-            idx = active[hit_now]
-            depth[idx] = t_cross[hit_now] * res
-            hit[idx] = True
-        done = hit_now | beyond | ~inside
-        active = active[~done]
+    steps = 0
+    while ids.size:
+        go_x = t_max_x <= t_max_y
+        lin += np.where(go_x, step_x, step_y)
+        code = cells.take(lin)
+        stopped = np.flatnonzero(code)
+        for a in (step_x, step_y, t_delta_x, t_delta_y):
+            a[stopped] = 0
+        np.add(t_max_x, t_delta_x, out=t_max_x, where=go_x)
+        np.add(t_max_y, t_delta_y, out=t_max_y, where=~go_x)
+        steps += 1
+        if steps % _COMPACT_STEPS == 0:
+            t_cross = np.minimum(t_max_x, t_max_y)  # a frozen ray's last crossing
+            wall = (code == _WALL) & (t_cross < range_cells)
+            depth[ids[wall]] = t_cross[wall] * res
+            hit[ids[wall]] = True
+            live = np.flatnonzero((code == _FREE) & (t_cross < range_cells))
+            state = tuple(a.take(live) for a in state)
+            ids, lin, step_x, step_y, t_max_x, t_max_y, t_delta_x, t_delta_y = state
 
     return depth, hit
 

@@ -8,6 +8,7 @@ that pose, then normalizes to a probability map over (row, col, orientation).
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -35,8 +36,16 @@ MAX_TABLE_RANGE = (2**31 - 1) * DEPTH_QUANTUM  # meters; the largest int32 depth
 
 PROBMAP_MAGIC = b"DPMF"
 
-BLOCK_RAYS = 100_000  # rays cast per table-build block, rounded down to whole cells
+BLOCK_RAYS = 30_000  # rays cast per table-build block, rounded down to whole cells;
+# about 20 cells of 36 x 40 rays, so two blocks in flight stay small beside the table
 SCORE_BLOCK_CELLS = 64  # free cells per block of the error sum; keeps its temporary in cache
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: the default table-build thread count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def default_cell_stride(resolution: float) -> float:
@@ -170,7 +179,8 @@ class GridScorer:
     localizations on the same map. It holds (n_free, n_orientations, n_rays)
     int32 depths in units of DEPTH_QUANTUM, so `max_range` may not exceed
     MAX_TABLE_RANGE. The table is filled in blocks of whole free cells on
-    `threads` worker threads and does not depend on their count.
+    `threads` worker threads (default: :func:`usable_cpus`) and does not
+    depend on their count.
     """
 
     def __init__(
@@ -180,8 +190,10 @@ class GridScorer:
         n_rays: int = DEFAULT_N_RAYS,
         fov: float = DEFAULT_FOV,
         max_range: float = DEFAULT_MAX_RANGE,
-        threads: int = 1,
+        threads: int | None = None,
     ):
+        if threads is None:
+            threads = usable_cpus()
         if threads < 1:
             raise ValidationError(f"threads must be >= 1, got {threads}")
         if not max_range <= MAX_TABLE_RANGE:

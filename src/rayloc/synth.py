@@ -14,7 +14,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .crops import N_TEXTURE_IDS, POOL_BLOCKS, Crop, block_mean
 from .errors import ConfigurationError, ValidationError
@@ -28,6 +27,7 @@ from .floorplan import (
     ray_bearings,
     render_gt_rays,
 )
+from .scoring import check_depth_range
 
 LAYOUT_TWIN = "twin-rooms"
 LAYOUT_CORRIDOR = re.compile(r"^corridor-of-(\d+)$")
@@ -101,6 +101,8 @@ def _symmetrize(occ: np.ndarray) -> np.ndarray:
 
 
 def _check_connected(occ: np.ndarray, layout: str) -> None:
+    from scipy import ndimage  # imported here: `rayloc localize` never needs it
+
     free = ~occ
     _, count = ndimage.label(free)
     if count != 1:
@@ -327,6 +329,8 @@ def valid_gt_poses(
 ) -> list[Pose]:
     """Cell-center poses at least clearance_m from any wall, in textured free
     space, each with a seeded heading on an orientation-bin center."""
+    from scipy import ndimage  # imported here: `rayloc localize` never needs it
+
     radius = max(1, int(math.ceil(clearance_m / plan.resolution)))
     footprint = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
     blocked = ndimage.binary_dilation(plan.occupancy, structure=footprint)
@@ -450,6 +454,7 @@ class RandomProjectionEmbedder:
         return hist
 
     def embed_signature(self, signature: ObservationSignature) -> np.ndarray:
+        check_depth_range(signature.depths, self.max_range, "signature depths")
         hist = self._texture_feature(signature.texture_counts)
         positions = np.linspace(0.0, 1.0, self.geom_len)
         src = np.linspace(0.0, 1.0, signature.depths.size)

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import re
 import struct
 from pathlib import Path
@@ -666,6 +667,49 @@ class TestCliInputErrors:
         error = _error(out)
         assert error["exit"] == EXIT_MISSING
         assert error["type"] == "FormatError"
+
+    @pytest.mark.parametrize("kind", ["directory", "unreadable"])
+    @pytest.mark.parametrize(
+        "flag", ["--map", "--rays", "--signature", "--query-emb", "--config", "--predictions"]
+    )
+    def test_unreadable_input_path_is_missing_input(
+        self, generated_world, small_config_path, simulated, tmp_path, monkeypatch, flag, kind
+    ):
+        def no_table(*args, **kwargs):
+            raise AssertionError("rendered-fan table built before the inputs were read")
+
+        monkeypatch.setattr(GridScorer, "__init__", no_table)
+        sim_out, _ = simulated
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_text("{}")
+            bad.chmod(0)
+            # a privileged user reads files whatever their mode: deny it here too
+            access = os.access
+            monkeypatch.setattr(
+                os, "access", lambda path, mode: path != str(bad) and access(path, mode)
+            )
+        out = tmp_path / "o"
+        if flag == "--predictions":
+            argv = ["eval", "--predictions", str(bad), "--out", str(out)]
+        else:
+            files = {
+                "--config": small_config_path,
+                "--map": generated_world / "map.pgm",
+                "--rays": sim_out / "rays.csv",
+                "--signature": sim_out / "signature.json",
+            }
+            files[flag] = bad
+            argv = _localize(
+                files["--config"], files["--map"], files["--rays"], files["--signature"], out,
+                *(["--query-emb", str(bad)] if flag == "--query-emb" else []),
+            )
+        assert main(argv) == EXIT_MISSING
+        error = _error(out)
+        assert error["exit"] == EXIT_MISSING
+        assert str(bad) in error["message"]
 
     def test_query_embedding_width_is_config_error(
         self, generated_world, small_config_path, simulated, tmp_path, monkeypatch

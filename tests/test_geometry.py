@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rayloc.errors import (
     FormatError,
@@ -150,6 +152,139 @@ class TestMarchOracleAgreement:
                     d_engine, _ = cast_ray(plan, pose.x, pose.y, float(b))
                     d_march, _ = march_ray(plan, pose.x, pose.y, float(b))
                     assert abs(d_engine - d_march) <= plan.resolution
+
+
+def _reference_cast_rays(plan, xs, ys, bearings, max_range):
+    """The straightforward Amanatides-Woo traversal that cast_rays replaced:
+    every ray's state is gathered and scattered through `active` on each step.
+    Test oracle for the compacted traversal, which must agree bit for bit."""
+    xs = np.asarray(xs, dtype=float).ravel()
+    ys = np.asarray(ys, dtype=float).ravel()
+    bearings = np.asarray(bearings, dtype=float).ravel()
+    n = xs.size
+    res = plan.resolution
+    h, w = plan.height_cells, plan.width_cells
+    occ = plan.occupancy
+
+    px = (xs - plan.origin[0]) / res
+    py = (ys - plan.origin[1]) / res
+    cx = np.floor(px).astype(np.int64)
+    cy = np.floor(py).astype(np.int64)
+
+    dx = np.cos(bearings)
+    dy = np.sin(bearings)
+    step_x = np.where(dx >= 0, 1, -1).astype(np.int64)
+    step_y = np.where(dy >= 0, 1, -1).astype(np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_dx = np.where(dx != 0, 1.0 / dx, np.inf)
+        inv_dy = np.where(dy != 0, 1.0 / dy, np.inf)
+        t_max_x = np.where(
+            dx != 0, (cx + (dx > 0).astype(float) - px) * inv_dx, np.inf
+        )
+        t_max_y = np.where(
+            dy != 0, (cy + (dy > 0).astype(float) - py) * inv_dy, np.inf
+        )
+    t_delta_x = np.abs(inv_dx)
+    t_delta_y = np.abs(inv_dy)
+
+    depth = np.full(n, float(max_range))
+    hit = np.zeros(n, dtype=bool)
+    range_cells = max_range / res
+
+    active = np.arange(n)
+    while active.size:
+        tx = t_max_x[active]
+        ty = t_max_y[active]
+        go_x = tx <= ty
+        t_cross = np.where(go_x, tx, ty)
+
+        cx[active] += np.where(go_x, step_x[active], 0)
+        cy[active] += np.where(go_x, 0, step_y[active])
+        t_max_x[active] += np.where(go_x, t_delta_x[active], 0.0)
+        t_max_y[active] += np.where(go_x, 0.0, t_delta_y[active])
+
+        acx = cx[active]
+        acy = cy[active]
+        beyond = t_cross >= range_cells
+        inside = (acx >= 0) & (acx < w) & (acy >= 0) & (acy < h)
+        wall = np.zeros(active.size, dtype=bool)
+        ok = inside & ~beyond
+        wall[ok] = occ[acy[ok], acx[ok]]
+
+        hit_now = wall
+        if np.any(hit_now):
+            idx = active[hit_now]
+            depth[idx] = t_cross[hit_now] * res
+            hit[idx] = True
+        done = hit_now | beyond | ~inside
+        active = active[~done]
+
+    return depth, hit
+
+
+AXIS_BEARINGS = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
+
+
+@st.composite
+def ray_batches(draw):
+    """A random open or walled grid and a batch of rays whose origins lie in
+    its cells: on cell boundaries (a pose-grid stride of twice the
+    resolution), at cell centers or anywhere; bearings include the four axis
+    directions; max_range is rarely a multiple of the resolution."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    res = draw(st.sampled_from([0.05, 0.1, 0.25, 0.3]))
+    origin = draw(st.sampled_from([(0.0, 0.0), (-1.3, 2.05), (0.07, -0.4)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    occ = rng.random((h, w)) < draw(st.sampled_from([0.0, 0.1, 0.3]))
+    if draw(st.booleans()):
+        occ[0, :] = occ[-1, :] = occ[:, 0] = occ[:, -1] = True
+    plan = FloorPlan(occupancy=occ, resolution=res, origin=origin)
+
+    n = draw(st.integers(1, 40))
+    where = draw(st.sampled_from(["boundary", "center", "anywhere"]))
+    if where == "boundary":
+        stride = 2 * res
+        xs = origin[0] + (rng.integers(0, max(1, w // 2), n) + 0.5) * stride
+        ys = origin[1] + (rng.integers(0, max(1, h // 2), n) + 0.5) * stride
+    else:
+        frac = np.full((2, n), 0.5) if where == "center" else rng.random((2, n))
+        xs = origin[0] + (rng.integers(0, w, n) + frac[0]) * res
+        ys = origin[1] + (rng.integers(0, h, n) + frac[1]) * res
+    # keep only origins whose cell, as the traversal floors it, is in the map
+    cols = np.floor((xs - origin[0]) / res)
+    rows = np.floor((ys - origin[1]) / res)
+    inside = (cols >= 0) & (cols < w) & (rows >= 0) & (rows < h)
+    xs, ys = xs[inside], ys[inside]
+    bearings = np.where(
+        rng.random(xs.size) < 0.3,
+        rng.choice(AXIS_BEARINGS, xs.size),
+        rng.uniform(-math.pi, 3 * math.pi, xs.size),
+    )
+    max_range = draw(
+        st.one_of(st.floats(0.01, 6.0), st.integers(1, 40).map(lambda k: k * res))
+    )
+    return plan, xs, ys, bearings, max_range
+
+
+class TestCastRaysOracle:
+    @settings(max_examples=300)
+    @given(ray_batches())
+    def test_matches_reference_traversal(self, batch):
+        plan, xs, ys, bearings, max_range = batch
+        depths, hits = cast_rays(plan, xs, ys, bearings, max_range)
+        ref_depths, ref_hits = _reference_cast_rays(plan, xs, ys, bearings, max_range)
+        assert np.array_equal(depths, ref_depths)
+        assert np.array_equal(hits, ref_hits)
+
+    @pytest.mark.parametrize("bearing", AXIS_BEARINGS)
+    @pytest.mark.parametrize("max_range", [0.77, 0.4])
+    def test_single_ray_on_a_boundary(self, box_plan, bearing, max_range):
+        # origins on cell boundaries; from (0.5, 0.5) the ring's wall is
+        # crossed at exactly 0.4 m, the range where a crossing stops counting
+        for x, y in [(0.5, 0.5), (0.3, 0.5), (0.5, 0.3), (0.1, 0.1)]:
+            got = cast_rays(box_plan, [x], [y], [bearing], max_range)
+            ref = _reference_cast_rays(box_plan, [x], [y], [bearing], max_range)
+            assert np.array_equal(got, ref)
 
 
 class TestRayFan:

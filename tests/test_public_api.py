@@ -3,6 +3,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,16 @@ def test_demo_imports_resolve(demo):
     for module, name in imports:
         mod = importlib.import_module(module)
         assert not name or hasattr(mod, name), f"{demo.name}: {module}.{name} is gone"
+
+
+def test_cli_starts_without_scipy():
+    # SciPy's import is a large share of a `rayloc localize` process's start-up,
+    # and localize never uses it; only world generation imports it, on demand
+    src = str(Path(rayloc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, rayloc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

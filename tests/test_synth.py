@@ -1,5 +1,6 @@
 """World generation, observation simulation, and the reference embedder."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -273,3 +274,14 @@ class TestRandomProjectionEmbedder:
     def test_dim_validation(self):
         with pytest.raises(ValidationError):
             RandomProjectionEmbedder(dim=1)
+
+    @pytest.mark.parametrize("bad", [1e200, -0.5, 10.5])
+    def test_signature_depths_beyond_range_rejected(self, world, bad):
+        # 1e200 m used to overflow the projection into a zero or NaN embedding
+        plan, poses = world
+        _, signature = simulate_observation(plan, poses[0], max_range=10.0)
+        depths = signature.depths.copy()
+        depths[3] = bad
+        signature = dataclasses.replace(signature, depths=depths)
+        with np.errstate(all="raise"), pytest.raises(ValidationError, match="signature depths"):
+            RandomProjectionEmbedder(max_range=10.0).embed_signature(signature)
