@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import bench as bench_mod
-from .config import RunConfig, echo_config, load_config
+from .config import RunConfig, load_config
 from .contrastive import (
     MinedSample,
     add_peer_negatives,
@@ -27,11 +27,12 @@ from .contrastive import (
     train_linear_embedder,
     write_sample_manifest,
 )
-from .crops import N_TEXTURE_IDS, POOL_BLOCKS, Crop, extract_crop, write_crop_channels
+from .crops import N_TEXTURE_IDS, POOL_BLOCKS, export_crop, extract_crop
 from .disambig import localize
 from .errors import ConfigurationError, FormatError, RaylocError, ValidationError
 from .floorplan import (
     Pose,
+    check_depth_range,
     load_floorplan,
     ray_bearings,
     render_gt_rays,
@@ -39,7 +40,7 @@ from .floorplan import (
     write_pgm,
 )
 from .metrics import EvalRecord, EvalReport, evaluate
-from .scoring import check_depth_range, probmap_graymap, write_probmap
+from .scoring import probmap_graymap, write_probmap
 from .synth import (
     NoiseSpec,
     ObservationSignature,
@@ -63,10 +64,6 @@ def _write_json(path: str, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _pose_doc(pose: Pose) -> dict:
-    return {"x": pose.x, "y": pose.y, "theta": pose.theta}
 
 
 def _require_file(path: str) -> str:
@@ -112,22 +109,19 @@ def _recalls(report: EvalReport) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen_world(cfg: RunConfig, args) -> int:
+def cmd_gen_world(cfg: RunConfig, args) -> None:
     world = cfg.world
     if args.seed is not None:
         world = replace(world, seed=args.seed)
     plan, poses = generate_world(world)
-    os.makedirs(args.out, exist_ok=True)
     save_floorplan(plan, os.path.join(args.out, "map.pgm"))
     _write_json(
         os.path.join(args.out, "poses.json"),
-        {"poses": [_pose_doc(p) for p in poses]},
+        {"poses": [p.as_dict() for p in poses]},
     )
-    echo_config(cfg, args.out)
-    return 0
 
 
-def cmd_cast(cfg: RunConfig, args) -> int:
+def cmd_cast(cfg: RunConfig, args) -> None:
     plan = load_floorplan(_require_file(args.map))
     fan = render_gt_rays(
         plan,
@@ -137,29 +131,25 @@ def cmd_cast(cfg: RunConfig, args) -> int:
         max_range=cfg.rays.max_range_m,
     )
     bearings = ray_bearings(args.theta, cfg.rays.n_rays, cfg.rays.fov)
-    os.makedirs(args.out, exist_ok=True)
     _write_csv(
         os.path.join(args.out, "rays.csv"),
         ["bearing_rad", "depth_m", "hit"],
         zip(bearings, fan.depths, fan.hits.astype(int)),
     )
-    echo_config(cfg, args.out)
-    return 0
 
 
-def cmd_simulate(cfg: RunConfig, args) -> int:
+def cmd_simulate(cfg: RunConfig, args) -> None:
     plan = load_floorplan(_require_file(args.map))
     pose = Pose(args.x, args.y, args.theta)
     pred, signature = simulate_observation(
         plan,
         pose,
         noise=cfg.noise,
-        seed=args.seed if args.seed is not None else cfg.seed,
+        seed=cfg.seed,
         n_rays=cfg.rays.n_rays,
         fov=cfg.rays.fov,
         max_range=cfg.rays.max_range_m,
     )
-    os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "rays.csv"), ["ray", "depth_m"], enumerate(pred))
     _write_json(
         os.path.join(args.out, "signature.json"),
@@ -172,11 +162,9 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
                 "depth_sigma_m": signature.noise.depth_sigma,
                 "dropout": signature.noise.dropout,
             },
-            "gt_pose": _pose_doc(pose),
+            "gt_pose": pose.as_dict(),
         },
     )
-    echo_config(cfg, args.out)
-    return 0
 
 
 def _load_signature(path: str) -> ObservationSignature:
@@ -197,7 +185,7 @@ def _load_signature(path: str) -> ObservationSignature:
             raise FormatError(f"{path}: malformed signature: {exc!r}") from exc
 
 
-def cmd_localize(cfg: RunConfig, args) -> int:
+def cmd_localize(cfg: RunConfig, args) -> None:
     disambig, crop_spec = cfg.disambig, cfg.crop
     for param, value in (("w", args.w), ("x", args.x), ("crop-m", args.crop_m)):
         if value is None:
@@ -246,8 +234,7 @@ def cmd_localize(cfg: RunConfig, args) -> int:
         sigma=cfg.bench.sigma_m,
         scorer=scorer,
     )
-    os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "pose.json"), _pose_doc(result.pose))
+    _write_json(os.path.join(args.out, "pose.json"), result.pose.as_dict())
     write_probmap(result.dafpm, os.path.join(args.out, "dafpm.dpmf"))
     write_pgm(os.path.join(args.out, "dafpm.pgm"), probmap_graymap(result.dafpm))
     depth_scores = result.candidates.scores / result.candidates.scores.sum()
@@ -259,8 +246,6 @@ def cmd_localize(cfg: RunConfig, args) -> int:
             for p, *probs in zip(result.candidates.poses, depth_scores, result.dpm, result.fused)
         ),
     )
-    echo_config(cfg, args.out)
-    return 0
 
 
 def _mining_dataset(cfg: RunConfig):
@@ -312,42 +297,31 @@ def _mine_all(cfg: RunConfig) -> tuple[list, list, list[MinedSample], np.ndarray
     return plans, dataset, mined, np.stack(anchor_embeddings)
 
 
-def cmd_mine(cfg: RunConfig, args) -> int:
+def cmd_mine(cfg: RunConfig, args) -> None:
     _, _, mined, anchor_embeddings = _mine_all(cfg)
-    os.makedirs(args.out, exist_ok=True)
     crop_dir = os.path.join(args.out, "crops")
     os.makedirs(crop_dir, exist_ok=True)
-
-    def crop_doc(crop: Crop, stem: str) -> dict:
-        return {
-            "pose": _pose_doc(crop.source_pose),
-            "meters_per_px": crop.meters_per_px,
-            "files": write_crop_channels(crop, crop_dir, stem),
-        }
-
     records = []
     for j, sample in enumerate(mined):
         record = {
             "anchor": j,
-            "anchor_pose": _pose_doc(sample.anchor_pose),
+            "anchor_pose": sample.anchor_pose.as_dict(),
             "anchor_embedding": [float(v) for v in anchor_embeddings[j]],
-            "positive": crop_doc(sample.positive, f"a{j:05d}_pos"),
+            "positive": export_crop(sample.positive, crop_dir, f"a{j:05d}_pos"),
             "position_negatives": [
-                crop_doc(c, f"a{j:05d}_pneg{m}")
+                export_crop(c, crop_dir, f"a{j:05d}_pneg{m}")
                 for m, c in enumerate(sample.position_negatives)
             ],
             "orientation_negatives": [
-                crop_doc(c, f"a{j:05d}_oneg{m}")
+                export_crop(c, crop_dir, f"a{j:05d}_oneg{m}")
                 for m, c in enumerate(sample.orientation_negatives)
             ],
         }
         records.append(record)
     write_sample_manifest(os.path.join(args.out, "manifest.jsonl"), records)
-    echo_config(cfg, args.out)
-    return 0
 
 
-def cmd_train_embedder(cfg: RunConfig, args) -> int:
+def cmd_train_embedder(cfg: RunConfig, args) -> None:
     _, dataset, mined, anchor_embeddings = _mine_all(cfg)
     samples = build_training_samples(mined, anchor_embeddings)
     samples = add_peer_negatives(
@@ -364,7 +338,6 @@ def cmd_train_embedder(cfg: RunConfig, args) -> int:
         learning_rate=args.learning_rate,
         seed=cfg.seed,
     )
-    os.makedirs(args.out, exist_ok=True)
     np.savez(
         os.path.join(args.out, "embedder.npz"),
         weights=embedder.weights,
@@ -372,27 +345,22 @@ def cmd_train_embedder(cfg: RunConfig, args) -> int:
         blocks=POOL_BLOCKS,
     )
     _write_csv(os.path.join(args.out, "loss_trace.csv"), ["epoch", "loss"], enumerate(trace))
-    echo_config(cfg, args.out)
-    return 0
 
 
-def cmd_eval(cfg: RunConfig, args) -> int:
+def cmd_eval(cfg: RunConfig, args) -> None:
     columns = _read_columns(
         args.predictions, ["pred_x", "pred_y", "pred_theta", "gt_x", "gt_y", "gt_theta"]
     )
     report = evaluate([EvalRecord(Pose(*r[:3]), Pose(*r[3:])) for r in columns.tolist()])
-    os.makedirs(args.out, exist_ok=True)
     _write_csv(
         os.path.join(args.out, "report.csv"),
         ["threshold", "recall", "n"],
         [(key.removeprefix("recall_"), v, report.n) for key, v in _recalls(report).items()],
     )
     _write_json(os.path.join(args.out, "report.json"), report.as_dict())
-    echo_config(cfg, args.out)
-    return 0
 
 
-def cmd_sweep(cfg: RunConfig, args) -> int:
+def cmd_sweep(cfg: RunConfig, args) -> None:
     try:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
         points = bench_mod.sweep_points(args.param, values, cfg.disambig, cfg.crop)
@@ -403,7 +371,6 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     bench = bench_mod.build_benchmark(cfg, args.threads)
     queries = bench_mod.sample_queries(bench, cfg.bench.n_queries, cfg.bench.query_seed)
     rows = bench_mod.sweep(bench, points, queries, noise=cfg.noise, seed=cfg.seed)
-    os.makedirs(args.out, exist_ok=True)
     _write_csv(
         os.path.join(args.out, "sweep.csv"),
         [args.param, *_recalls(rows[0][1].report), "room_accuracy", "n"],
@@ -412,8 +379,6 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             for value, outcome in rows
         ),
     )
-    echo_config(cfg, args.out)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -492,18 +457,19 @@ COMMANDS = {
 def _emit_error(args, code: int, exc: Exception) -> None:
     doc = {"error": {"type": type(exc).__name__, "message": str(exc), "exit": code}}
     print(json.dumps(doc), file=sys.stderr)
-    out = getattr(args, "out", None)
-    if out:
-        try:
-            os.makedirs(out, exist_ok=True)
-            _write_json(os.path.join(out, "error.json"), doc)
-        except OSError:
-            pass
+    try:
+        _write_json(os.path.join(args.out, "error.json"), doc)
+    except OSError:  # --out is not a directory
+        pass
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(f"--out {args.out!r} is not a usable directory: {exc}") from exc
         cfg = load_config(args.config and _require_file(args.config))
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
@@ -516,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit_error(args, EXIT_CONFIG, exc)
         return EXIT_CONFIG
     try:
-        return COMMANDS[args.command](cfg, args)
+        COMMANDS[args.command](cfg, args)
     except (FileNotFoundError, FormatError) as exc:
         _emit_error(args, EXIT_MISSING, exc)
         return EXIT_MISSING
@@ -526,6 +492,8 @@ def main(argv: list[str] | None = None) -> int:
     except RaylocError as exc:
         _emit_error(args, EXIT_RUNTIME, exc)
         return EXIT_RUNTIME
+    _write_json(os.path.join(args.out, "resolved_config.json"), cfg.resolved())
+    return 0
 
 
 def entry() -> None:  # console-script shim

@@ -1,14 +1,16 @@
 """Run configuration: one JSON document aggregating every knob, with strict
 unknown-key rejection and the dataclass defaults for anything omitted.
 
-SCHEMA is the single description of the document: parsing, the unknown-key
-checks and the resolved echo are all derived from it."""
+SCHEMA is the single description of the document, derived from RunConfig's
+section dataclasses: every field is a key. Parsing, the unknown-key checks
+and the resolved echo are all derived from it."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-import os
+import typing
 from dataclasses import dataclass
 
 from .contrastive import MiningSpec, PerturbSpec
@@ -17,14 +19,17 @@ from .disambig import DisambigConfig
 from .errors import ConfigurationError, ValidationError
 from .floorplan import DEFAULT_FOV, DEFAULT_MAX_RANGE, DEFAULT_N_RAYS
 from .raybins import BinSpec
-from .scoring import DEFAULT_SIGMA, MAX_TABLE_RANGE
+from .scoring import DEFAULT_SIGMA, MAX_TABLE_RANGE, PoseGridSpec
 from .synth import NoiseSpec, WorldSpec
 
 
 def _number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def _integer(value) -> int:
@@ -51,6 +56,30 @@ def _or_none(convert):
     return lambda value: None if value is None else convert(value)
 
 
+# field type -> converter of its JSON value
+CONVERTERS = {
+    int: _integer,
+    float: _number,
+    str: _text,
+    tuple[float, float]: _pair,
+    float | None: _or_none(_number),
+    int | None: _or_none(_integer),
+}
+
+# dataclass field -> JSON key, where the key carries the field's unit
+KEY_RENAMES = {
+    "d_min": "d_min_m",
+    "d_max": "d_max_m",
+    "pos_b": "pos_b_m",
+    "ang_b": "ang_b_rad",
+    "inner_neg_dist": "inner_neg_dist_m",
+    "ori_neg_rotation": "ori_neg_rotation_rad",
+    "extent": "extent_m",
+    "resolution": "resolution_m",
+    "depth_sigma": "depth_sigma_m",
+}
+
+
 @dataclass(frozen=True)
 class RayParams:
     n_rays: int = DEFAULT_N_RAYS
@@ -75,7 +104,7 @@ class RayParams:
 @dataclass(frozen=True)
 class GridParams:
     cell_stride_m: float | None = None  # None: map resolution rule
-    n_orientations: int = 36
+    n_orientations: int = PoseGridSpec.n_orientations
 
     def __post_init__(self):
         if self.cell_stride_m is not None and not self.cell_stride_m > 0:
@@ -116,71 +145,6 @@ class EmbedderParams:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
-# section -> (dataclass, {JSON key: (dataclass field, converter)}); the
-# top-level document is these sections plus an integer "seed".
-SCHEMA = {
-    "rays": (RayParams, {
-        "n_rays": ("n_rays", _integer),
-        "fov_deg": ("fov_deg", _number),
-        "max_range_m": ("max_range_m", _number),
-    }),
-    "bins": (BinSpec, {
-        "d_min_m": ("d_min", _number),
-        "d_max_m": ("d_max", _number),
-        "n_bins": ("n_bins", _integer),
-        "gamma": ("gamma", _number),
-    }),
-    "grid": (GridParams, {
-        "cell_stride_m": ("cell_stride_m", _or_none(_number)),
-        "n_orientations": ("n_orientations", _integer),
-    }),
-    "crop": (CropSpec, {
-        "side_m": ("side_m", _number),
-        "out_px": ("out_px", _or_none(_integer)),
-        "channels": ("channels", _text),
-    }),
-    "perturb": (PerturbSpec, {
-        "pos_b_m": ("pos_b", _number),
-        "ang_b_rad": ("ang_b", _number),
-    }),
-    "mining": (MiningSpec, {
-        "inner_neg_dist_m": ("inner_neg_dist", _pair),
-        "ori_neg_rotation_rad": ("ori_neg_rotation", _number),
-        "n_inner": ("n_inner", _integer),
-        "n_cross": ("n_cross", _integer),
-        "n_ori": ("n_ori", _integer),
-        "seed": ("seed", _integer),
-    }),
-    "disambig": (DisambigConfig, {
-        "w": ("w", _number),
-        "softmax_temperature": ("softmax_temperature", _number),
-        "x": ("x", _integer),
-    }),
-    "world": (WorldSpec, {
-        "layout": ("layout", _text),
-        "extent_m": ("extent", _pair),
-        "resolution_m": ("resolution", _number),
-        "texture_policy": ("texture_policy", _text),
-        "seed": ("seed", _integer),
-    }),
-    "noise": (NoiseSpec, {
-        "depth_sigma_m": ("depth_sigma", _number),
-        "dropout": ("dropout", _number),
-    }),
-    "embedder": (EmbedderParams, {
-        "dim": ("dim", _integer),
-        "seed": ("seed", _integer),
-    }),
-    "bench": (BenchParams, {
-        "n_queries": ("n_queries", _integer),
-        "n_worlds": ("n_worlds", _integer),
-        "n_anchors": ("n_anchors", _integer),
-        "query_seed": ("query_seed", _integer),
-        "sigma_m": ("sigma_m", _number),
-    }),
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     rays: RayParams = RayParams()
@@ -210,6 +174,26 @@ class RunConfig:
         return doc
 
 
+def _derive_schema() -> dict:
+    """section -> (dataclass, {JSON key: (dataclass field, converter)}) for
+    every RunConfig field that holds a dataclass; the top-level document is
+    these sections plus an integer "seed"."""
+    schema = {}
+    for section in dataclasses.fields(RunConfig):
+        cls = type(section.default)
+        if not dataclasses.is_dataclass(cls):
+            continue
+        hints = typing.get_type_hints(cls)
+        schema[section.name] = (cls, {
+            KEY_RENAMES.get(f.name, f.name): (f.name, CONVERTERS[hints[f.name]])
+            for f in dataclasses.fields(cls)
+        })
+    return schema
+
+
+SCHEMA = _derive_schema()
+
+
 def _plain(value):
     return list(value) if isinstance(value, tuple) else value
 
@@ -217,7 +201,7 @@ def _plain(value):
 def _convert(key: str, convert, value):
     try:
         return convert(value)
-    except (TypeError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed config value {key}: {exc}") from exc
 
 
@@ -259,11 +243,3 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(doc)
 
-
-def echo_config(config: RunConfig, out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "resolved_config.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.resolved(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path

@@ -42,7 +42,7 @@ class PerturbSpec:
     ang_b: float = 0.26  # radians
 
     def __post_init__(self):
-        if self.pos_b < 0 or self.ang_b < 0:
+        if not (self.pos_b >= 0 and self.ang_b >= 0):
             raise ValidationError("perturbation bounds must be >= 0")
 
 
@@ -59,6 +59,8 @@ class MiningSpec:
         lo, hi = self.inner_neg_dist
         if not lo < hi:
             raise ValidationError("inner_neg_dist must be a (lower, upper) interval")
+        if not math.isfinite(self.ori_neg_rotation):
+            raise ValidationError(f"ori_neg_rotation must be finite, got {self.ori_neg_rotation}")
         if min(self.n_inner, self.n_cross, self.n_ori) < 0:
             raise ValidationError("negative counts must be >= 0")
         if self.n_inner + self.n_cross + self.n_ori < 1:
@@ -374,9 +376,6 @@ class LinearEmbedder:
 
     def embed_crop(self, crop: Crop) -> np.ndarray:
         return self.embed_features(crop_features(crop))
-
-    def __call__(self, crop: Crop) -> np.ndarray:
-        return self.embed_crop(crop)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ so lookups are nearest-neighbor; samples outside the map take the pad value
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -141,38 +140,15 @@ def block_mean(arr: np.ndarray, blocks: int) -> np.ndarray:
     return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
 
 
-def write_crop_channels(crop: Crop, out_dir: str, stem: str) -> dict[str, str]:
+def export_crop(crop: Crop, out_dir: str, stem: str) -> dict:
     """Write one graymap per crop channel as ``{stem}_{channel}.pgm`` (occupancy
-    as free = white) and return ``{channel: filename}``."""
+    as free = white) and return the crop's manifest record: its source
+    ``pose``, its ``meters_per_px`` and its ``files`` as ``{channel: filename}``."""
     files = {}
     for ch, name in enumerate(["occupancy", "texture"][: crop.n_channels]):
-        fname = f"{stem}_{name}.pgm"
+        files[name] = f"{stem}_{name}.pgm"
         values = crop.pixels[:, :, ch]
         if name == "occupancy":
             values = np.where(values > 0, 0, 255).astype(np.uint8)
-        write_pgm(os.path.join(out_dir, fname), values)
-        files[name] = fname
-    return files
-
-
-def export_crops(crops: list[Crop], out_dir: str, prefix: str = "crop") -> str:
-    """Write one graymap per channel per crop plus an index JSON mapping crop
-    files to their source poses. Returns the index path."""
-    os.makedirs(out_dir, exist_ok=True)
-    index = [
-        {
-            "pose": {
-                "x": crop.source_pose.x,
-                "y": crop.source_pose.y,
-                "theta": crop.source_pose.theta,
-            },
-            "meters_per_px": crop.meters_per_px,
-            "channels": write_crop_channels(crop, out_dir, f"{prefix}_{i:05d}"),
-        }
-        for i, crop in enumerate(crops)
-    ]
-    index_path = os.path.join(out_dir, f"{prefix}_index.json")
-    with open(index_path, "w", encoding="utf-8") as fh:
-        json.dump(index, fh, indent=2)
-        fh.write("\n")
-    return index_path
+        write_pgm(os.path.join(out_dir, files[name]), values)
+    return {"pose": crop.source_pose.as_dict(), "meters_per_px": crop.meters_per_px, "files": files}

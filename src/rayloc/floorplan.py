@@ -56,6 +56,9 @@ class Pose:
     def distance_to(self, other: "Pose") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
+    def as_dict(self) -> dict:
+        return {"x": self.x, "y": self.y, "theta": self.theta}
+
 
 @dataclass(frozen=True)
 class FloorPlan:
@@ -125,6 +128,13 @@ class FloorPlan:
         return not bool(self.occupancy[row, col])
 
 
+def check_depth_range(depths: np.ndarray, max_range: float, what: str = "predicted depths") -> None:
+    """The one depth-range rule: reject depths that are non-finite or outside
+    [0, max_range], with an ulp of slack above max_range for decoded depths."""
+    if not np.all((depths >= 0) & (depths <= max_range + 1e-12)):
+        raise ValidationError(f"{what} must be finite and lie in [0, {max_range}]")
+
+
 @dataclass(frozen=True)
 class RayFan:
     """Metric depths over an equiangular horizontal fan.
@@ -143,8 +153,7 @@ class RayFan:
         depths = np.asarray(self.depths, dtype=float)
         if not (0.0 < self.fov < TWO_PI):
             raise ValidationError(f"fov must be in (0, 2*pi), got {self.fov}")
-        if np.any(depths < 0) or np.any(depths > self.max_range + 1e-12):
-            raise ValidationError("depths must lie in [0, max_range]")
+        check_depth_range(depths, self.max_range, "depths")
         hits = self.hits
         if hits is None:
             hits = depths < self.max_range

@@ -25,6 +25,7 @@ from .floorplan import (
     _read_tensor,
     _write_tensor,
     cast_rays,
+    check_depth_range,
     ray_bearings,
 )
 
@@ -161,13 +162,6 @@ class CandidateSet:
 
     def __len__(self) -> int:
         return len(self.poses)
-
-
-def check_depth_range(depths: np.ndarray, max_range: float, what: str = "predicted depths") -> None:
-    """Reject depths that are non-finite or outside [0, max_range]."""
-    # same tolerance as RayFan: decoded depths can sit an ulp above max_range
-    if not np.all((depths >= 0) & (depths <= max_range + 1e-12)):
-        raise ValidationError(f"{what} must be finite and lie in [0, {max_range}]")
 
 
 class GridScorer:

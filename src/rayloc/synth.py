@@ -24,10 +24,10 @@ from .floorplan import (
     TWO_PI,
     FloorPlan,
     Pose,
+    check_depth_range,
     ray_bearings,
     render_gt_rays,
 )
-from .scoring import check_depth_range
 
 LAYOUT_TWIN = "twin-rooms"
 LAYOUT_CORRIDOR = re.compile(r"^corridor-of-(\d+)$")
@@ -63,7 +63,7 @@ class NoiseSpec:
     dropout: float = 0.0  # probability a ray is clamped to max_range
 
     def __post_init__(self):
-        if self.depth_sigma < 0 or not 0.0 <= self.dropout <= 1.0:
+        if not self.depth_sigma >= 0 or not 0.0 <= self.dropout <= 1.0:
             raise ValidationError("invalid noise parameters")
 
 
@@ -475,9 +475,3 @@ class RandomProjectionEmbedder:
             np.concatenate([self.texture_weight * hist, self.geom_weight * geom.ravel()])
         )
 
-    def __call__(self, item) -> np.ndarray:
-        if isinstance(item, ObservationSignature):
-            return self.embed_signature(item)
-        if isinstance(item, Crop):
-            return self.embed_crop(item)
-        raise ValidationError(f"cannot embed {type(item).__name__}")

@@ -1,11 +1,13 @@
 """Run-config parsing and the command-line interface."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
 import re
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rayloc.cli import EXIT_CONFIG, EXIT_MISSING, EXIT_RUNTIME, build_parser, main
-from rayloc.config import SCHEMA, _integer, _number, _pair, load_config, parse_config
+from rayloc.config import (
+    CONVERTERS,
+    KEY_RENAMES,
+    SCHEMA,
+    RunConfig,
+    _integer,
+    _number,
+    _pair,
+    load_config,
+    parse_config,
+)
 from rayloc.contrastive import write_embeddings
 from rayloc.errors import ConfigurationError, RaylocError, ValidationError
 from rayloc.floorplan import cast_ray, load_floorplan
@@ -221,6 +233,63 @@ class TestParseConfig:
         bad.write_text("{nope")
         with pytest.raises(ConfigurationError):
             load_config(str(bad))
+
+
+# every key whose value is one or two floats, as (section, key)
+_FLOAT_KEYS = sorted(
+    (name, key)
+    for name, (_, keys) in SCHEMA.items()
+    for key, (_, convert) in keys.items()
+    if convert in (CONVERTERS[float], CONVERTERS[float | None], CONVERTERS[tuple[float, float]])
+)
+
+
+class TestSchema:
+    def test_sections_are_the_run_config_dataclasses(self):
+        defaults = RunConfig()
+        assert list(SCHEMA) == [f.name for f in dataclasses.fields(RunConfig) if f.name != "seed"]
+        for name, (cls, _) in SCHEMA.items():
+            assert type(getattr(defaults, name)) is cls
+
+    def test_every_section_field_is_a_key(self):
+        for cls, keys in SCHEMA.values():
+            names = [f.name for f in dataclasses.fields(cls)]
+            assert [field for field, _ in keys.values()] == names
+            assert list(keys) == [KEY_RENAMES.get(n, n) for n in names]
+
+    def test_every_rename_names_a_section_field(self):
+        fields = {f.name for cls, _ in SCHEMA.values() for f in dataclasses.fields(cls)}
+        assert set(KEY_RENAMES) <= fields
+        # a rename only adds the unit the field name leaves out
+        for field, key in KEY_RENAMES.items():
+            assert key.startswith(field + "_")
+
+    @settings(max_examples=60)
+    @given(
+        doc=valid_documents(),
+        target=st.sampled_from(_FLOAT_KEYS),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+        slot=st.integers(0, 1),
+    )
+    def test_non_finite_number_is_config_error(self, doc, target, bad, slot):
+        # JSON as Python writes and reads it admits NaN and Infinity
+        name, key = target
+        default = parse_config({}).resolved()[name][key]
+        value = bad
+        if isinstance(default, list):
+            value = list(default)
+            value[slot] = bad
+        doc.setdefault(name, {})[key] = value
+        with pytest.raises(ConfigurationError, match=f"{name}.{key}.*finite"):
+            parse_config(doc)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "cfg.json")
+            with open(cfg, "w") as fh:
+                json.dump(doc, fh)
+            out = os.path.join(tmp, "o")
+            assert main(["gen-world", "--config", cfg, "--out", out]) == EXIT_CONFIG
+            with open(os.path.join(out, "error.json")) as fh:
+                assert json.load(fh)["error"]["exit"] == EXIT_CONFIG
 
 
 SMALL_WORLD = {
@@ -525,6 +594,11 @@ class TestCliExitCodes:
             ("gen-world", "rays", {"n_rays": True}),
             ("gen-world", "world", {"extent_m": [6, 4, 3]}),
             ("gen-world", "world", {"extent_m": "ab"}),
+            # non-finite numbers, which Python's json reads as NaN and Infinity
+            ("gen-world", "world", {"extent_m": [math.nan, 6]}),
+            ("gen-world", "world", {"extent_m": [math.inf, 6]}),
+            ("cast", "noise", {"depth_sigma_m": math.nan}),
+            ("gen-world", "mining", {"ori_neg_rotation_rad": math.nan}),
             # out-of-range values, rejected before any command runs
             ("sweep", "grid", {"cell_stride_m": 0}),
             ("mine", "bench", {"n_worlds": 0}),
@@ -825,6 +899,18 @@ class TestCliInputErrors:
         assert error["type"] == "ConfigurationError"
         assert flag in error["message"]
         assert not (out / "pose.json").exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys, below):
+        afile = tmp_path / "afile"
+        afile.write_text("keep")
+        out = afile / below if below else afile
+        assert main(["gen-world", "--out", str(out)]) == EXIT_CONFIG
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["exit"] == EXIT_CONFIG
+        assert error["type"] == "ConfigurationError"
+        assert "--out" in error["message"]
+        assert afile.read_text() == "keep"
 
     @pytest.mark.parametrize("command", ["localize", "sweep"])
     def test_threads_below_one_is_config_error(

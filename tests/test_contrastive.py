@@ -448,6 +448,12 @@ class TestMining:
             MiningSpec(n_inner=0, n_cross=0, n_ori=0)
         with pytest.raises(ValidationError):
             MiningSpec(n_inner=-1)
+        with pytest.raises(ValidationError):
+            MiningSpec(ori_neg_rotation=math.nan)
+        with pytest.raises(ValidationError):
+            PerturbSpec(pos_b=math.nan)
+        with pytest.raises(ValidationError):
+            PerturbSpec(ang_b=-0.1)
 
 
 class TestCropFeatures:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rayloc.crops import CropSpec, block_mean, export_crops, extract_crop
+from rayloc.crops import CropSpec, block_mean, export_crop, extract_crop
 from rayloc.errors import OutOfBoundsError, ValidationError
 from rayloc.floorplan import Pose
 
@@ -92,23 +92,25 @@ class TestExtractCrop:
         assert crop.meters_per_px == pytest.approx(0.2)
 
 
-class TestExportCrops:
-    def test_writes_channels_and_index(self, textured_box_plan, tmp_path):
+class TestExportCrop:
+    def test_writes_channels_and_record(self, textured_box_plan, tmp_path):
         spec = CropSpec(side_m=0.5, out_px=5)
-        crops = [
-            extract_crop(textured_box_plan, Pose(0.45, 0.45, 0.0), spec),
-            extract_crop(textured_box_plan, Pose(0.55, 0.55, 1.0), spec),
-        ]
-        out = tmp_path / "crops"
-        index_path = export_crops(crops, str(out))
-        with open(index_path) as fh:
-            index = json.load(fh)
-        assert len(index) == 2
-        for i, entry in enumerate(index):
-            assert set(entry["channels"]) == {"occupancy", "texture"}
-            for fname in entry["channels"].values():
-                assert (out / fname).exists()
-            assert entry["pose"]["x"] == pytest.approx(crops[i].source_pose.x)
+        for i, pose in enumerate([Pose(0.45, 0.45, 0.0), Pose(0.55, 0.55, 1.0)]):
+            crop = extract_crop(textured_box_plan, pose, spec)
+            record = export_crop(crop, str(tmp_path), f"crop_{i:05d}")
+            assert set(record) == {"pose", "meters_per_px", "files"}
+            assert set(record["files"]) == {"occupancy", "texture"}
+            for fname in record["files"].values():
+                assert (tmp_path / fname).exists()
+            assert record["pose"] == {"x": pose.x, "y": pose.y, "theta": pose.theta}
+            assert record["meters_per_px"] == crop.meters_per_px
+            # the record is what the mining manifest stores, so it must be JSON
+            assert json.loads(json.dumps(record)) == record
+
+    def test_occupancy_only_crop_writes_one_file(self, textured_box_plan, tmp_path):
+        spec = CropSpec(side_m=0.5, out_px=5, channels="occupancy")
+        crop = extract_crop(textured_box_plan, Pose(0.45, 0.45, 0.0), spec)
+        assert export_crop(crop, str(tmp_path), "c")["files"] == {"occupancy": "c_occupancy.pgm"}
 
 
 def _naive_block_mean(arr, blocks):

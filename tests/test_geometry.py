@@ -301,6 +301,9 @@ class TestRayFan:
             RayFan(depths=np.array([0.1, 11.0]), fov=1.0, max_range=10.0)
         with pytest.raises(ValidationError):
             RayFan(depths=np.array([0.1, 0.2]), fov=0.0, max_range=10.0)
+        # NaN compares false both ways, so a pair of range checks lets it through
+        with pytest.raises(ValidationError, match="finite"):
+            RayFan(depths=np.array([np.nan, 1.0]), fov=1.0, max_range=10.0)
 
     def test_default_hits(self):
         fan = RayFan(depths=np.array([1.0, 10.0]), fov=1.0, max_range=10.0)
