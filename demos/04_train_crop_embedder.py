@@ -3,7 +3,7 @@
 A small-scale version of the training recipe: mine positives plus
 position-level and orientation-level negatives across two buildings, train
 the linear embedder against frozen visual-side anchors, and measure
-retrieval on held-out anchors. Takes about a minute. Run with:
+retrieval on held-out anchors. Takes about 6 s on 2 vCPUs. Run with:
 
     python3 demos/04_train_crop_embedder.py
 """

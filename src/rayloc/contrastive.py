@@ -520,55 +520,67 @@ def _train_batched(
     denominator: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized full-batch descent. Crop order per sample: positive, then
-    position negatives, then orientation negatives. Samples with fewer crops
-    are padded to the largest count; a padded slot has a -inf logit, a norm
-    of 1 and so a zero gradient."""
-    n = len(samples)
-    counts = np.array(
-        [
-            1 + s.position_negative_features.shape[0] + s.orientation_negative_features.shape[0]
-            for s in samples
-        ]
-    )
-    n_crops = int(counts.max())
-    feats = np.zeros((n, n_crops, weights.shape[1]))  # (S, C, F)
-    for i, s in enumerate(samples):
-        feats[i, : counts[i]] = np.vstack(
-            [
-                s.positive_features[None, :],
-                s.position_negative_features,
-                s.orientation_negative_features,
-            ]
-        )
-    valid = np.arange(n_crops)[None, :] < counts[:, None]  # (S, C)
-    valid_flat = valid.ravel()
-    anchors = np.stack([s.anchor_embedding for s in samples])  # (S, E)
-    flat = feats.reshape(n * n_crops, -1)
+    position negatives, then orientation negatives. Each distinct crop (a peer
+    negative repeats another sample's positive) is embedded once per epoch, over
+    the feature columns that are non-zero in some crop; the other columns get an
+    exactly zero gradient and keep their weights. Samples with fewer crops are
+    padded to the largest count with -inf logits, which have a zero gradient."""
+    from scipy.sparse import csr_array  # imported here: `rayloc localize` never needs it
 
+    n = len(samples)
+    families = [
+        (
+            s.positive_features[None, :],
+            s.position_negative_features,
+            s.orientation_negative_features,
+        )
+        for s in samples
+    ]
+    live = np.flatnonzero(np.any([f.any(axis=0) for family in families for f in family], axis=0))
+
+    distinct = {}  # exact bytes of a crop's live features -> its row in x
+    slot_rows = []  # (R,) row of x for each sample's crops, sample by sample
+    counts = np.empty(n, dtype=int)
+    for i, family in enumerate(families):
+        block = np.asarray(np.vstack(family)[:, live], dtype=float)
+        counts[i] = len(block)
+        for row in block:
+            slot_rows.append(distinct.setdefault(row.tobytes(), len(distinct)))
+    x = np.frombuffer(b"".join(distinct), dtype=float).reshape(len(distinct), live.size)
+    slot_rows = np.array(slot_rows)
+
+    valid = np.arange(counts.max())[None, :] < counts[:, None]  # (S, C)
+    anchors = np.stack([s.anchor_embedding for s in samples])  # (S, E)
+    slot_anchors = np.repeat(anchors, counts, axis=0)  # (R, E)
+    # (S, U): sample i's slot gradients in the columns of its crops' rows. Its
+    # transpose sums them onto each row, also where a row repeats in a sample
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    scatter = csr_array((np.zeros(len(slot_rows)), slot_rows, indptr), shape=(n, len(x)))
+
+    w = weights[:, live]
     trace = np.empty(epochs)
     for epoch in range(epochs):
-        u = flat @ weights.T  # (S*C, E)
+        u = x @ w.T  # (U, E)
         norms = np.linalg.norm(u, axis=1)
-        if np.any(norms[valid_flat] < 1e-12):
+        if np.any(norms < 1e-12):
             raise TrainingFailureError(epoch, "degenerate embedding during training")
-        norms[~valid_flat] = 1.0
         g = u / norms[:, None]
-        g3 = g.reshape(n, n_crops, -1)
-        sims = np.einsum("se,sce->sc", anchors, g3) / tau  # (S, C)
-        sims[~valid] = -np.inf
+        sims = np.full(valid.shape, -np.inf)
+        sims[valid] = np.einsum("ke,ke->k", g[slot_rows], slot_anchors) / tau
         losses, d_sims = _nce_kernel(sims, denominator)
         mean_loss = float(losses.mean())
         if not math.isfinite(mean_loss):
             raise TrainingFailureError(epoch)
         trace[epoch] = mean_loss
 
-        d_g = (d_sims / tau)[:, :, None] * anchors[:, None, :]  # (S, C, E)
-        d_g_flat = d_g.reshape(n * n_crops, -1)
+        scatter.data[:] = (d_sims / tau)[valid]
+        d_g = scatter.T @ anchors  # (U, E)
         # backprop through the unit normalization
-        inner = np.einsum("ke,ke->k", g, d_g_flat)
-        d_u = (d_g_flat - g * inner[:, None]) / norms[:, None]
-        grad_w = d_u.T @ flat
-        weights = weights - learning_rate * grad_w / n
+        inner = np.einsum("ke,ke->k", g, d_g)
+        d_u = (d_g - g * inner[:, None]) / norms[:, None]
+        w = w - learning_rate * (d_u.T @ x) / n
+    weights = weights.copy()
+    weights[:, live] = w
     return weights, trace
 
 

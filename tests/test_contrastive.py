@@ -36,6 +36,7 @@ from rayloc.errors import (
     ConfigurationError,
     FormatError,
     MiningExhaustedError,
+    TrainingFailureError,
     ValidationError,
 )
 from rayloc.floorplan import FloorPlan, Pose
@@ -593,6 +594,81 @@ class TestTraining:
                 wb, tb = _per_sample_reference(samples, w0.copy(), 5, 0.3, 0.07, denom)
                 assert np.allclose(wa, wb, atol=1e-12)
                 assert np.allclose(ta, tb, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_samples=st.integers(1, 6),
+        n_feats=st.integers(2, 9),
+        n_dead=st.integers(0, 6),
+        denom=st.sampled_from([DENOM_NEGATIVES_ONLY, DENOM_WITH_POSITIVE]),
+    )
+    def test_shared_rows_and_dead_columns_match_per_sample(
+        self, seed, n_samples, n_feats, n_dead, denom
+    ):
+        # peers' positives reappear as position negatives, an orientation
+        # negative may repeat within a sample, and some feature columns are
+        # zero in every crop
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 6))
+        dead = rng.permutation(n_feats)[: min(n_dead, n_feats - 1)]
+        pool = rng.random((int(rng.integers(1, 8)), n_feats))
+        pool[:, dead] = 0.0
+        positives = pool[rng.integers(len(pool), size=n_samples)]
+        samples = []
+        for i in range(n_samples):
+            mined = pool[rng.integers(len(pool), size=int(rng.integers(0, 4)))]
+            peers = positives[rng.integers(n_samples, size=int(rng.integers(0, 4)))]
+            n_ori = int(rng.integers(0, 3)) if len(mined) + len(peers) else int(rng.integers(1, 3))
+            ori = pool[rng.integers(len(pool))]
+            samples.append(
+                TrainingSample(
+                    anchor_embedding=_unit(rng, 1, dim)[0],
+                    positive_features=positives[i],
+                    position_negative_features=np.vstack([mined, peers]),
+                    orientation_negative_features=np.repeat(ori[None], n_ori, axis=0),
+                )
+            )
+        # a step small enough that no weight grows large, so that 1e-12 is a
+        # summation-order bound (the weights stay below about 11)
+        w0 = rng.normal(size=(dim, n_feats))
+        wa, ta = _train_batched(samples, w0.copy(), 4, 0.05, 0.07, denom)
+        wb, tb = _per_sample_reference(samples, w0.copy(), 4, 0.05, 0.07, denom)
+        assert np.allclose(wa, wb, rtol=0, atol=1e-12)
+        assert np.allclose(ta, tb, rtol=0, atol=1e-12)
+        assert np.array_equal(wa[:, dead], w0[:, dead])
+
+    def test_zero_crop_fails_at_epoch_zero(self):
+        samples = _ragged_samples()
+        s = samples[3]
+        zero_crop = np.zeros((1, s.positive_features.size))
+        samples[3] = replace(
+            s, orientation_negative_features=np.vstack([s.orientation_negative_features, zero_crop])
+        )
+        w0 = np.random.default_rng(0).normal(size=(6, 10))
+        with pytest.raises(TrainingFailureError, match="degenerate") as info:
+            _train_batched(samples, w0, 5, 0.3, 0.07, DENOM_WITH_POSITIVE)
+        assert info.value.epoch == 0
+
+    def test_padding_is_not_a_zero_crop(self):
+        # samples of 2 to 8 crops are padded to 8 slots; no padded slot may
+        # count as a degenerate crop, even when a column is dead everywhere
+        def dead_column(feats):
+            return np.pad(feats, ((0, 0), (0, 1)))
+
+        samples = [
+            replace(
+                s,
+                positive_features=np.append(s.positive_features, 0.0),
+                position_negative_features=dead_column(s.position_negative_features),
+                orientation_negative_features=dead_column(s.orientation_negative_features),
+            )
+            for s in _ragged_samples()
+        ]
+        w0 = np.random.default_rng(0).normal(size=(6, 11))
+        weights, trace = _train_batched(samples, w0, 5, 0.3, 0.07, DENOM_WITH_POSITIVE)
+        assert np.all(np.isfinite(trace))
+        assert np.array_equal(weights[:, -1], w0[:, -1])
 
     def test_ragged_public_path(self):
         _, trace = train_linear_embedder(

@@ -98,6 +98,75 @@ class TestProbMap:
             assert pose.y == pytest.approx((r + 0.5) * 0.5)
             assert pose.theta == pytest.approx(2 * math.pi * o / n_ori)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1.0, 1 + 5e-7, 1 - 5e-7, 1 + 2e-6, 1 - 2e-6, 0.5, 2.0]),
+        masked_leak=st.sampled_from([0.0, 1e-300, 1e-12, -1e-12, 0.5]),
+        negative=st.booleans(),
+    )
+    def test_accepts_exactly_the_valid_maps(self, shape, seed, scale, masked_leak, negative):
+        rng = np.random.default_rng(seed)
+        mask = rng.random(shape[:2]) < 0.7
+        values = rng.random(shape) * (rng.random(shape) < 0.6)
+        values[~mask] = 0.0
+        if values.sum() > 0:
+            values = values / values.sum() * scale
+        if masked_leak and not mask.all():
+            r, c = np.argwhere(~mask)[rng.integers((~mask).sum())]
+            values[r, c, rng.integers(shape[2])] = masked_leak
+        if negative:
+            values.flat[rng.integers(values.size)] = -rng.random()
+        valid = (
+            np.all(values[~mask] == 0)
+            and np.all(values >= 0)
+            and abs(values.sum() - 1.0) <= 1e-6
+        )
+        spec = PoseGridSpec(0.5, shape[2])
+        if valid:
+            pmap = ProbMap(values=values, spec=spec, mask=mask)
+            assert np.array_equal(pmap.values, values)
+        else:
+            with pytest.raises(ValidationError):
+                ProbMap(values=values, spec=spec, mask=mask)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf, -1e-300, -0.25]),
+    )
+    def test_non_finite_or_negative_entry_rejected(self, shape, seed, bad):
+        rng = np.random.default_rng(seed)
+        mask = rng.random(shape[:2]) < 0.7
+        mask.flat[rng.integers(mask.size)] = True
+        values = rng.random(shape)
+        values[~mask] = 0.0
+        values /= values.sum()
+        values.flat[rng.integers(values.size)] = bad  # masked or not
+        with pytest.raises(ValidationError):
+            ProbMap(values=values, spec=PoseGridSpec(0.5, shape[2]), mask=mask)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 12)),
+        stride=st.floats(0.01, 2.0),
+        origin=st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
+    )
+    def test_flat_index_round_trips_through_the_pose(self, shape, stride, origin):
+        values = np.full(shape, 1.0 / math.prod(shape))
+        pmap = ProbMap(
+            values=values, spec=PoseGridSpec(stride, shape[2]),
+            mask=np.ones(shape[:2], dtype=bool), origin=origin,
+        )
+        for idx in range(values.size):
+            pose = pmap.pose_of_flat_index(idx)
+            r = math.floor((pose.y - origin[1]) / stride)
+            c = math.floor((pose.x - origin[0]) / stride)
+            o = round(pose.theta / (2 * math.pi) * shape[2])
+            assert np.ravel_multi_index((r, c, o), shape) == idx
+
 
 class TestCandidateSet:
     def test_requires_sorted_scores(self):
