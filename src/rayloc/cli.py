@@ -110,10 +110,7 @@ def _recalls(report: EvalReport) -> dict:
 
 
 def cmd_gen_world(cfg: RunConfig, args) -> None:
-    world = cfg.world
-    if args.seed is not None:
-        world = replace(world, seed=args.seed)
-    plan, poses = generate_world(world)
+    plan, poses = generate_world(cfg.world)
     save_floorplan(plan, os.path.join(args.out, "map.pgm"))
     _write_json(
         os.path.join(args.out, "poses.json"),
@@ -473,6 +470,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config and _require_file(args.config))
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
+            if args.command == "gen-world":  # --seed picks the world, echoed as world.seed
+                cfg = replace(cfg, world=replace(cfg.world, seed=args.seed))
         if getattr(args, "threads", None) is not None and args.threads < 1:
             raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
     except (FileNotFoundError, FormatError) as exc:

@@ -8,6 +8,7 @@ so lookups are nearest-neighbor; samples outside the map take the pad value
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -77,6 +78,17 @@ class Crop:
         return self.pixels[:, :, 1]
 
 
+@functools.lru_cache(maxsize=64)
+def _sample_offsets(px: int, mpp: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only offsets (m) right of facing, (1, px), and along facing, (px, 1)."""
+    c = (px - 1) / 2.0
+    u = np.arange(px, dtype=float)  # columns left to right, rows top to bottom
+    offsets = ((u[None, :] - c) * mpp, (c - u[:, None]) * mpp)
+    for a in offsets:
+        a.setflags(write=False)
+    return offsets
+
+
 def extract_crop(plan: FloorPlan, pose: Pose, spec: CropSpec) -> Crop:
     """Nearest-neighbor crop centered on the pose, facing direction up.
 
@@ -84,16 +96,13 @@ def extract_crop(plan: FloorPlan, pose: Pose, spec: CropSpec) -> Crop:
     Sample points are pixel centers; with an odd out_px and meters_per_px
     equal to the map resolution they land exactly on cell centers, which makes
     quarter-turn rotations of the pose exact quarter-turns of the raster.
+    Offsets are cached per (out_px, meters_per_px); a channel is one flat take.
     """
     if not plan.in_bounds(pose.x, pose.y):
         raise OutOfBoundsError(f"crop pose ({pose.x}, {pose.y}) outside map")
     px = spec.resolve_px(plan)
     mpp = spec.side_m / px
-    c = (px - 1) / 2.0
-    u = np.arange(px, dtype=float)  # columns, left to right
-    v = np.arange(px, dtype=float)  # rows, top to bottom
-    u_loc = (u[None, :] - c) * mpp  # right of facing
-    v_loc = (c - v[:, None]) * mpp  # along facing
+    u_loc, v_loc = _sample_offsets(px, mpp)
     cos_t = math.cos(pose.theta)
     sin_t = math.sin(pose.theta)
     # local up -> facing direction, local right -> 90 deg clockwise from it
@@ -102,25 +111,30 @@ def extract_crop(plan: FloorPlan, pose: Pose, spec: CropSpec) -> Crop:
 
     cols = np.floor((wx - plan.origin[0]) / plan.resolution).astype(np.int64)
     rows = np.floor((wy - plan.origin[1]) / plan.resolution).astype(np.int64)
-    inside = (
-        (cols >= 0)
-        & (cols < plan.width_cells)
-        & (rows >= 0)
-        & (rows < plan.height_cells)
-    )
-    r = np.clip(rows, 0, plan.height_cells - 1)
-    q = np.clip(cols, 0, plan.width_cells - 1)
-
-    occ = np.where(inside, plan.occupancy[r, q].astype(np.uint8), PAD_OCCUPANCY)
-    if spec.channels == OCCUPANCY_ONLY:
-        pixels = occ[:, :, None]
-    else:
-        if plan.texture is not None:
-            tex = np.where(inside, plan.texture[r, q], PAD_TEXTURE)
-        else:
-            tex = np.full(occ.shape, PAD_TEXTURE, dtype=np.uint8)
-        pixels = np.stack([occ, tex.astype(np.uint8)], axis=2)
+    outside = cols.view(np.uint64) >= plan.width_cells  # negative: a huge unsigned
+    outside |= rows.view(np.uint64) >= plan.height_cells
+    flat = rows * plan.width_cells + cols  # garbage where outside, padded below
+    layers = [(plan.occupancy.view(np.uint8), PAD_OCCUPANCY), (plan.texture, PAD_TEXTURE)]
+    layers = layers[: 1 if spec.channels == OCCUPANCY_ONLY else 2]
+    pixels = np.empty((px, px, len(layers)), dtype=np.uint8)
+    for out, (layer, pad) in zip(np.moveaxis(pixels, 2, 0), layers):
+        if layer is None:  # an untextured plan
+            out.fill(pad)
+            continue
+        np.take(layer.reshape(-1), flat, out=out, mode="clip")
+        np.copyto(out, pad, where=outside)
     return Crop(pixels=pixels, meters_per_px=mpp, source_pose=pose)
+
+
+@functools.lru_cache(maxsize=64)
+def _pool_layout(n: int, blocks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only block starts, (blocks, blocks) pixel counts and non-empty mask."""
+    edges = np.linspace(0, n, blocks + 1).astype(int)
+    counts = np.outer(np.diff(edges), np.diff(edges))
+    layout = (edges[:-1], counts, counts > 0)
+    for a in layout:
+        a.setflags(write=False)
+    return layout
 
 
 def block_mean(arr: np.ndarray, blocks: int) -> np.ndarray:
@@ -131,13 +145,10 @@ def block_mean(arr: np.ndarray, blocks: int) -> np.ndarray:
     block with no pixels (n < blocks) pools to 0.0.
     """
     arr = np.asarray(arr, dtype=float)
-    edges = np.linspace(0, arr.shape[-1], blocks + 1).astype(int)
-    starts = edges[:-1]
+    starts, counts, nonempty = _pool_layout(arr.shape[-1], blocks)
     sums = np.add.reduceat(np.add.reduceat(arr, starts, axis=-1), starts, axis=-2)
-    sizes = np.diff(edges)
-    counts = np.outer(sizes, sizes)
     # reduceat yields a single pixel, not 0, for an empty block: mask it out
-    return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+    return np.divide(sums, counts, out=np.zeros_like(sums), where=nonempty)
 
 
 def export_crop(crop: Crop, out_dir: str, stem: str) -> dict:

@@ -39,7 +39,6 @@ PROBMAP_MAGIC = b"DPMF"
 
 BLOCK_RAYS = 30_000  # rays cast per table-build block, rounded down to whole cells;
 # about 20 cells of 36 x 40 rays, so two blocks in flight stay small beside the table
-SCORE_BLOCK_CELLS = 64  # free cells per block of the error sum; keeps its temporary in cache
 
 
 def usable_cpus() -> int:
@@ -170,11 +169,14 @@ class GridScorer:
 
     The table is the expensive part (one cast per free cell x orientation x
     ray); queries against it are cheap, so one scorer serves any number of
-    localizations on the same map. It holds (n_free, n_orientations, n_rays)
-    int32 depths in units of DEPTH_QUANTUM, so `max_range` may not exceed
-    MAX_TABLE_RANGE. The table is filled in blocks of whole free cells on
-    `threads` worker threads (default: :func:`usable_cpus`) and does not
-    depend on their count.
+    localizations on the same map. It holds int32 depths in DEPTH_QUANTUM
+    units (so `max_range` <= MAX_TABLE_RANGE), stored ray-major as (n_rays,
+    n_free, n_orientations); `table` is its (n_free, n_orientations, n_rays)
+    view. It is filled in blocks of whole free cells on `threads` worker
+    threads (default: :func:`usable_cpus`) and does not depend on their
+    count. Error sums are exact in int32 when n_rays times the largest
+    per-ray error (max_range in quanta, plus one for `check_depth_range`'s
+    slack) fits, else in int64.
     """
 
     def __init__(
@@ -222,7 +224,10 @@ class GridScorer:
         bearings = np.concatenate([ray_bearings(t, n_rays, fov) for t in thetas])
         per_cell = bearings.size
         cells = max(1, BLOCK_RAYS // per_cell)
-        table = np.empty((n_free, grid.n_orientations, n_rays), dtype=np.int32)
+        self._rays = np.empty((n_rays, n_free, grid.n_orientations), dtype=np.int32)
+        self.table = self._rays.transpose(1, 2, 0)  # a view: no second copy
+        bound = n_rays * (np.rint(max_range / DEPTH_QUANTUM) + 1)
+        self._err_dtype = np.int32 if bound <= np.iinfo(np.int32).max else np.int64
 
         def fill(lo: int) -> None:
             x, y = self.free_x[lo : lo + cells], self.free_y[lo : lo + cells]
@@ -230,13 +235,12 @@ class GridScorer:
                 plan, np.repeat(x, per_cell), np.repeat(y, per_cell),
                 np.tile(bearings, x.size), max_range,
             )
-            table[lo : lo + x.size] = np.rint(d / DEPTH_QUANTUM).reshape(
-                x.size, *table.shape[1:]
+            self.table[lo : lo + x.size] = np.rint(d / DEPTH_QUANTUM).reshape(
+                x.size, *self.table.shape[1:]
             )
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(fill, range(0, n_free, cells)))
-        self.table = table
 
     @property
     def n_free(self) -> int:
@@ -256,14 +260,7 @@ class GridScorer:
                 f"predicted fan has {pred.size} rays, scorer expects {self.n_rays}"
             )
         check_depth_range(pred, self.max_range)
-        pred = np.rint(pred / DEPTH_QUANTUM).astype(np.int32)
-        err = np.empty(self.table.shape[:2], dtype=np.int64)  # S per (cell, orientation)
-        diff = np.empty((SCORE_BLOCK_CELLS, *self.table.shape[1:]), dtype=np.int32)
-        for lo in range(0, self.n_free, SCORE_BLOCK_CELLS):
-            block = self.table[lo : lo + SCORE_BLOCK_CELLS]
-            d = np.subtract(block, pred, out=diff[: len(block)])
-            np.abs(d, out=d)
-            d.sum(axis=2, dtype=np.int64, out=err[lo : lo + len(block)])
+        err = self._error_sums(np.rint(pred / DEPTH_QUANTUM).astype(np.int32))
         scores = np.exp((err.min() - err) * (DEPTH_QUANTUM / (self.n_rays * sigma)))
         total = scores.sum()  # single deterministic reduction
         values = np.zeros((self.rows, self.cols, self.grid.n_orientations))
@@ -271,6 +268,14 @@ class GridScorer:
         return ProbMap(
             values=values, spec=self.grid, mask=self.mask, origin=self.plan.origin
         )
+
+    def _error_sums(self, pred: np.ndarray) -> np.ndarray:
+        """S per (cell, orientation) = sum over rays of |table - pred| in quanta."""
+        err = np.zeros(self._rays.shape[1:], dtype=self._err_dtype)
+        diff = np.empty(self._rays.shape[1:], dtype=np.int32)
+        for row, p in zip(self._rays, pred):  # one pass per contiguous ray row
+            err += np.abs(np.subtract(row, p, out=diff), out=diff)
+        return err
 
 
 def argmax_pose(pmap: ProbMap) -> Pose:

@@ -336,6 +336,21 @@ class TestCliGenWorld:
         assert doc["grid"]["n_orientations"] == 12
         assert doc["rays"]["n_rays"] == 16
 
+    def test_seed_echo_reproduces_the_world(self, generated_world, small_config_path, tmp_path):
+        seeded = tmp_path / "seeded"
+        assert main(["gen-world", "--config", small_config_path, "--seed", "5",
+                     "--out", str(seeded)]) == 0
+        with open(seeded / "resolved_config.json") as fh:
+            doc = json.load(fh)
+        assert doc["world"]["seed"] == doc["seed"] == 5
+        rerun = tmp_path / "rerun"
+        assert main(["gen-world", "--config", str(seeded / "resolved_config.json"),
+                     "--out", str(rerun)]) == 0
+        for name in ("map.pgm", "poses.json"):
+            assert (rerun / name).read_bytes() == (seeded / name).read_bytes()
+        # --seed did pick another world than the config's world.seed of 0
+        assert (seeded / "poses.json").read_bytes() != (generated_world / "poses.json").read_bytes()
+
 
 class TestCliCast:
     def test_matches_library(self, generated_world, small_config_path, tmp_path):

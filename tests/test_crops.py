@@ -5,12 +5,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rayloc.crops import CropSpec, block_mean, export_crop, extract_crop
+from rayloc.crops import (
+    OCCUPANCY_ONLY,
+    OCCUPANCY_TEXTURE,
+    PAD_OCCUPANCY,
+    PAD_TEXTURE,
+    CropSpec,
+    block_mean,
+    export_crop,
+    extract_crop,
+)
 from rayloc.errors import OutOfBoundsError, ValidationError
-from rayloc.floorplan import Pose
+from rayloc.floorplan import FloorPlan, Pose
+from rayloc.synth import WorldSpec, generate_world
 
 
 class TestCropSpec:
@@ -92,6 +102,75 @@ class TestExtractCrop:
         assert crop.meters_per_px == pytest.approx(0.2)
 
 
+def _reference_extract_crop(plan, pose, spec) -> np.ndarray:
+    """Reference crop pixels: 2-D fancy indexing of clipped cells, padded
+    with np.where, channels stacked."""
+    px = spec.resolve_px(plan)
+    mpp = spec.side_m / px
+    c = (px - 1) / 2.0
+    u = np.arange(px, dtype=float)
+    v = np.arange(px, dtype=float)
+    u_loc = (u[None, :] - c) * mpp
+    v_loc = (c - v[:, None]) * mpp
+    cos_t = math.cos(pose.theta)
+    sin_t = math.sin(pose.theta)
+    wx = pose.x + u_loc * sin_t + v_loc * cos_t
+    wy = pose.y - u_loc * cos_t + v_loc * sin_t
+    cols = np.floor((wx - plan.origin[0]) / plan.resolution).astype(np.int64)
+    rows = np.floor((wy - plan.origin[1]) / plan.resolution).astype(np.int64)
+    inside = (
+        (cols >= 0) & (cols < plan.width_cells) & (rows >= 0) & (rows < plan.height_cells)
+    )
+    r = np.clip(rows, 0, plan.height_cells - 1)
+    q = np.clip(cols, 0, plan.width_cells - 1)
+    occ = np.where(inside, plan.occupancy[r, q].astype(np.uint8), PAD_OCCUPANCY)
+    if spec.channels == OCCUPANCY_ONLY:
+        return occ[:, :, None]
+    if plan.texture is not None:
+        tex = np.where(inside, plan.texture[r, q], PAD_TEXTURE)
+    else:
+        tex = np.full(occ.shape, PAD_TEXTURE, dtype=np.uint8)
+    return np.stack([occ, tex.astype(np.uint8)], axis=2)
+
+
+_ORACLE_PLANS = [
+    generate_world(WorldSpec(extent=(6.0, 4.0), seed=3))[0],  # twin rooms, textured
+    generate_world(WorldSpec(extent=(5.0, 3.0), texture_policy="none", seed=1))[0],
+    FloorPlan(  # offset origin, coarse cells, no texture
+        occupancy=np.random.default_rng(0).random((7, 11)) < 0.3,
+        resolution=0.25,
+        origin=(-1.3, 2.2),
+    ),
+]
+
+
+class TestExtractCropOracle:
+    @settings(max_examples=150)
+    @given(
+        plan_index=st.integers(0, len(_ORACLE_PLANS) - 1),
+        fx=st.floats(0.0, 1.0, exclude_max=True),
+        fy=st.floats(0.0, 1.0, exclude_max=True),
+        theta=st.floats(-10.0, 10.0),
+        side_m=st.floats(0.05, 8.0),
+        out_px=st.one_of(st.none(), st.integers(2, 61)),
+        channels=st.sampled_from([OCCUPANCY_ONLY, OCCUPANCY_TEXTURE]),
+    )
+    @example(plan_index=0, fx=0.5, fy=0.5, theta=0.0, side_m=5.0, out_px=None,
+             channels=OCCUPANCY_TEXTURE)  # the localizer's default crop
+    @example(plan_index=2, fx=0.0, fy=0.0, theta=2.0, side_m=8.0, out_px=7,
+             channels=OCCUPANCY_TEXTURE)  # corner pose, window far past the map
+    def test_matches_reference(self, plan_index, fx, fy, theta, side_m, out_px, channels):
+        plan = _ORACLE_PLANS[plan_index]
+        pose = Pose(plan.origin[0] + fx * plan.width_m, plan.origin[1] + fy * plan.height_m, theta)
+        assume(plan.in_bounds(pose.x, pose.y))
+        spec = CropSpec(side_m=side_m, out_px=out_px, channels=channels)
+        crop = extract_crop(plan, pose, spec)
+        expected = _reference_extract_crop(plan, pose, spec)
+        assert crop.pixels.shape == expected.shape and crop.pixels.dtype == np.uint8
+        assert crop.pixels.tobytes() == expected.tobytes()
+        assert crop.meters_per_px == spec.side_m / spec.resolve_px(plan)
+
+
 class TestExportCrop:
     def test_writes_channels_and_record(self, textured_box_plan, tmp_path):
         spec = CropSpec(side_m=0.5, out_px=5)
@@ -140,10 +219,13 @@ class TestBlockMean:
         real = rng.normal(size=(batch, n, n))
         pooled_binary = block_mean(binary, blocks)
         pooled_real = block_mean(real, blocks)
+        # a second call with the same (n, blocks) reads the cached layout
+        pooled_again = block_mean(binary, blocks)
         assert pooled_binary.shape == pooled_real.shape == (batch, blocks, blocks)
         for k in range(batch):
             expect = _naive_block_mean(binary[k].astype(float), blocks)
             assert pooled_binary[k].tobytes() == expect.tobytes()
+            assert pooled_again[k].tobytes() == expect.tobytes()
             assert np.allclose(
                 pooled_real[k], _naive_block_mean(real[k], blocks), rtol=0, atol=1e-12
             )

@@ -1,5 +1,6 @@
 """Pose-grid scoring, probability-map invariants, and candidate selection."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rayloc import scoring
+from rayloc import crops, scoring
 from rayloc.crops import CropSpec, extract_crop
 from rayloc.disambig import DisambigConfig, localize
 from rayloc.errors import EmptyDomainError, FormatError, ValidationError
-from rayloc.floorplan import Pose, cast_rays, ray_bearings, render_gt_rays
+from rayloc.floorplan import FloorPlan, Pose, cast_rays, ray_bearings, render_gt_rays
 from rayloc.scoring import (
     DEPTH_QUANTUM,
     MAX_TABLE_RANGE,
@@ -409,6 +410,104 @@ class TestIntegerScoring:
         assert scorer.table.dtype == np.int32
         pmap = scorer.score(np.full(4, MAX_TABLE_RANGE))  # the largest depth still fits
         assert np.isfinite(pmap.values).all()
+
+
+REFERENCE_BLOCK_CELLS = 64  # free cells per block of the reference error sum
+
+
+def _blocked_error_sums(table: np.ndarray, pred_units: np.ndarray) -> np.ndarray:
+    """Reference error sum on the (n_free, n_ori, n_rays) table: blocks of
+    cells, |table - pred| summed over the short ray axis in int64."""
+    err = np.empty(table.shape[:2], dtype=np.int64)
+    diff = np.empty((REFERENCE_BLOCK_CELLS, *table.shape[1:]), dtype=np.int32)
+    for lo in range(0, table.shape[0], REFERENCE_BLOCK_CELLS):
+        block = table[lo : lo + REFERENCE_BLOCK_CELLS]
+        d = np.subtract(block, pred_units, out=diff[: len(block)])
+        np.abs(d, out=d)
+        d.sum(axis=2, dtype=np.int64, out=err[lo : lo + len(block)])
+    return err
+
+
+def _reference_values(scorer: GridScorer, pred: np.ndarray, sigma: float) -> np.ndarray:
+    """The posterior from the reference error sum, in score's float order."""
+    pred_units = np.rint(np.asarray(pred, dtype=float) / DEPTH_QUANTUM).astype(np.int32)
+    err = _blocked_error_sums(scorer.table, pred_units)
+    scores = np.exp((err.min() - err) * (DEPTH_QUANTUM / (scorer.n_rays * sigma)))
+    values = np.zeros((scorer.rows, scorer.cols, scorer.grid.n_orientations))
+    values[scorer.free_rc[:, 0], scorer.free_rc[:, 1], :] = scores / scores.sum()
+    return values
+
+
+_INT32_MAX = 2**31 - 1
+# (n_rays, max_range, accumulator): sensors at both sides of the int32 bound
+# n_rays * (max_range in quanta + 1) <= 2**31 - 1
+RAY_SENSORS = [
+    (40, 10.0, np.int32),
+    (2, (_INT32_MAX // 2 - 1) * DEPTH_QUANTUM, np.int32),  # sums at the int32 limit
+    (3, (_INT32_MAX // 3 - 1) * DEPTH_QUANTUM, np.int32),
+    (3, (_INT32_MAX // 3) * DEPTH_QUANTUM, np.int64),  # one quantum too many
+    (2, MAX_TABLE_RANGE, np.int64),  # per-ray errors at the int32 limit
+    (4, MAX_TABLE_RANGE, np.int64),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _sensor_scorer(n_rays: int, max_range: float) -> GridScorer:
+    """A 6 x 6-cell box scorer with 3 orientations, built once per sensor;
+    each example overwrites its whole table."""
+    occ = np.ones((8, 8), dtype=bool)
+    occ[1:-1, 1:-1] = False
+    plan = FloorPlan(occupancy=occ, resolution=0.1)
+    return GridScorer(plan, PoseGridSpec(0.1, 3), n_rays=n_rays, max_range=max_range, threads=1)
+
+
+class TestRayMajorErrorSum:
+    @settings(max_examples=80)
+    @given(
+        sensor=st.sampled_from(RAY_SENSORS),
+        seed=st.integers(0, 2**32 - 1),
+        extreme=st.booleans(),
+        sigma=st.sampled_from([1e-4, 0.5, 1e3]),
+    )
+    def test_matches_blocked_reference(self, sensor, seed, extreme, sigma):
+        n_rays, max_range, accumulator = sensor
+        scorer = _sensor_scorer(n_rays, max_range)
+        top = int(np.rint(max_range / DEPTH_QUANTUM))
+        rng = np.random.default_rng(seed)
+        # a random table written into the scorer's storage, seen through `table`
+        scorer.table[...] = rng.integers(0, top, size=scorer.table.shape, endpoint=True)
+        pred_units = rng.integers(0, top, size=n_rays, endpoint=True)
+        if extreme:  # every ray of some poses is off by the whole range
+            pred_units[:] = top
+            scorer.table[rng.random(scorer.table.shape[:2]) < 0.5] = 0
+        pred = pred_units * DEPTH_QUANTUM
+        assert np.array_equal(np.rint(pred / DEPTH_QUANTUM), pred_units)
+
+        sums = scorer._error_sums(pred_units.astype(np.int32))
+        assert sums.dtype == accumulator
+        reference = _blocked_error_sums(scorer.table, pred_units.astype(np.int32))
+        assert np.array_equal(sums, reference)
+        if extreme:
+            assert reference.max() == n_rays * top
+        values = scorer.score(pred, sigma).values
+        assert values.tobytes() == _reference_values(scorer, pred, sigma).tobytes()
+
+    def test_table_is_a_view_of_the_ray_major_storage(self, box_plan):
+        scorer = GridScorer(box_plan, PoseGridSpec(0.1, 4), n_rays=6)
+        storage = scorer._rays
+        assert storage.shape == (6, scorer.n_free, 4)
+        assert storage.dtype == np.int32 and storage.flags.c_contiguous
+        # one copy of the table: `table` is a view with the old shape and size
+        assert scorer.table.base is storage
+        assert np.shares_memory(scorer.table, storage)
+        assert scorer.table.shape == (scorer.n_free, 4, 6)
+        assert scorer.table.dtype == np.int32
+        assert scorer.table.nbytes == storage.nbytes == scorer.n_free * 4 * 6 * 4
+        # the crop stage's caches hand out arrays that no caller can corrupt
+        for cached in (*crops._sample_offsets(5, 0.1), *crops._pool_layout(5, 8)):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[...] = 0
 
 
 class TestSelection:
