@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crops import N_TEXTURE_IDS, POOL_BLOCKS, Crop, CropSpec, block_mean, extract_crop
+from .crops import N_TEXTURE_IDS, Crop, CropSpec, extract_crop, pool_crop
 from .errors import (
     ConfigurationError,
     MiningExhaustedError,
@@ -345,15 +345,10 @@ def mine_samples(
 
 
 def crop_features(crop: Crop) -> np.ndarray:
-    """Fixed featurization of a crop for the linear embedder: block-averaged
-    occupancy plus block-averaged one-hot texture indicator maps (texture ids
-    are categorical, so they are one-hot encoded before flattening)."""
-    maps = crop.occupancy()[None]
-    tex = crop.texture()
-    if tex is not None:
-        ids = np.arange(1, N_TEXTURE_IDS + 1)[:, None, None]
-        maps = np.concatenate([maps, tex[None] == ids])
-    return block_mean(maps, POOL_BLOCKS).ravel()
+    """Fixed featurization of a crop for the linear embedder, in its own array: block-averaged
+    occupancy plus, with a texture channel, each block's share of each texture id."""
+    means, _ = pool_crop(crop)
+    return means[: 1 if crop.texture() is None else 1 + N_TEXTURE_IDS].flatten()
 
 
 @dataclass(frozen=True)

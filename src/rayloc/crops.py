@@ -24,8 +24,8 @@ OCCUPANCY_TEXTURE = "occupancy+texture"
 PAD_OCCUPANCY = 1  # outside the building behaves like wall
 PAD_TEXTURE = 0
 
-# the one pooled layout of every crop embedder: one feature per texture id in
-# 1..N_TEXTURE_IDS, and maps block-averaged to POOL_BLOCKS x POOL_BLOCKS
+# the one pooled layout of every crop embedder (pool_crop): one feature per
+# texture id in 1..N_TEXTURE_IDS, and maps block-averaged to POOL_BLOCKS x POOL_BLOCKS
 N_TEXTURE_IDS = 16
 POOL_BLOCKS = 8
 
@@ -39,8 +39,9 @@ class CropSpec:
     def __post_init__(self):
         if not 0 < self.side_m < math.inf:
             raise ValidationError(f"side_m must be finite and > 0, got {self.side_m}")
-        if self.out_px is not None and self.out_px < 2:
-            raise ValidationError("out_px must be >= 2")
+        px = self.out_px
+        if px is not None and (isinstance(px, bool) or not isinstance(px, (int, np.integer)) or px < 2):
+            raise ValidationError(f"out_px must be an integer >= 2, got {px!r}")
         if self.channels not in (OCCUPANCY_ONLY, OCCUPANCY_TEXTURE):
             raise ValidationError(f"unknown channel mode {self.channels!r}")
 
@@ -58,6 +59,9 @@ class Crop:
 
     def __post_init__(self):
         pixels = np.asarray(self.pixels, dtype=np.uint8).copy()
+        n = pixels.shape[0] if pixels.ndim else 0
+        if pixels.shape not in ((n, n, 1), (n, n, 2)) or n < 2:
+            raise ValidationError(f"crop pixels must have shape (n, n, 1 | 2), n >= 2: {pixels.shape}")
         pixels.setflags(write=False)
         object.__setattr__(self, "pixels", pixels)
 
@@ -127,28 +131,33 @@ def extract_crop(plan: FloorPlan, pose: Pose, spec: CropSpec) -> Crop:
 
 
 @functools.lru_cache(maxsize=64)
-def _pool_layout(n: int, blocks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only block starts, (blocks, blocks) pixel counts and non-empty mask."""
-    edges = np.linspace(0, n, blocks + 1).astype(int)
-    counts = np.outer(np.diff(edges), np.diff(edges))
-    layout = (edges[:-1], counts, counts > 0)
-    for a in layout:
+def _pool_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only flat block id of each pixel of an (n, n) crop, and each block's
+    pixel count, 1 for an empty block (its sums are 0, so it pools to 0.0)."""
+    edges = np.linspace(0, n, POOL_BLOCKS + 1).astype(int)
+    of_pixel = np.repeat(np.arange(POOL_BLOCKS, dtype=np.uint16), np.diff(edges))
+    block = (of_pixel[:, None] * POOL_BLOCKS + of_pixel[None, :]).ravel()
+    divisor = np.maximum(np.bincount(block, minlength=POOL_BLOCKS * POOL_BLOCKS), 1)
+    for a in (block, divisor):
         a.setflags(write=False)
-    return layout
+    return block, divisor
 
 
-def block_mean(arr: np.ndarray, blocks: int) -> np.ndarray:
-    """Average-pool the last two axes of a (..., n, n) array to (..., blocks, blocks).
-
-    Block edges are ``linspace(0, n, blocks + 1)`` truncated to integers. Each
-    block is its sum divided by its pixel count, so 0/1 input pools exactly; a
-    block with no pixels (n < blocks) pools to 0.0.
-    """
-    arr = np.asarray(arr, dtype=float)
-    starts, counts, nonempty = _pool_layout(arr.shape[-1], blocks)
-    sums = np.add.reduceat(np.add.reduceat(arr, starts, axis=-1), starts, axis=-2)
-    # reduceat yields a single pixel, not 0, for an empty block: mask it out
-    return np.divide(sums, counts, out=np.zeros_like(sums), where=nonempty)
+def pool_crop(crop: Crop) -> tuple[np.ndarray, np.ndarray]:
+    """``(means, totals)``: row 0 of the ``(1 + N_TEXTURE_IDS, POOL_BLOCKS ** 2)``
+    means is each block's mean occupancy, row k its share of texture id k (other
+    ids are dropped); ``totals`` is each row's exact integer sum over the crop.
+    Block edges are ``linspace(0, n, POOL_BLOCKS + 1)`` truncated to integers."""
+    block, divisor = _pool_blocks(crop.out_px)
+    nb = POOL_BLOCKS * POOL_BLOCKS
+    sums = np.zeros((1 + N_TEXTURE_IDS, nb))
+    sums[0] = np.bincount(block, weights=crop.occupancy().ravel(), minlength=nb)
+    tex = crop.texture()
+    if tex is not None:
+        # widen before the key: a uint8 id times nb wraps
+        keys = tex.astype(np.uint16).ravel() * nb + block
+        sums[1:] = np.bincount(keys, minlength=sums.size)[nb : sums.size].reshape(-1, nb)
+    return sums / divisor, sums.sum(axis=1)
 
 
 def export_crop(crop: Crop, out_dir: str, stem: str) -> dict:

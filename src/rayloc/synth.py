@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crops import N_TEXTURE_IDS, POOL_BLOCKS, Crop, block_mean
+from .crops import N_TEXTURE_IDS, POOL_BLOCKS, Crop, pool_crop
 from .errors import ConfigurationError, ValidationError
 from .floorplan import (
     DEFAULT_FOV,
@@ -464,14 +464,9 @@ class RandomProjectionEmbedder:
         )
 
     def embed_crop(self, crop: Crop) -> np.ndarray:
-        tex = crop.texture()
-        if tex is None:
-            counts = np.zeros(256, dtype=np.int64)
-        else:
-            counts = np.bincount(tex.ravel().astype(np.int64), minlength=256)
-        hist = self._texture_feature(counts)
-        geom = block_mean(crop.occupancy(), POOL_BLOCKS)
+        means, totals = pool_crop(crop)
+        hist = self._texture_feature(totals)
         return self._project(
-            np.concatenate([self.texture_weight * hist, self.geom_weight * geom.ravel()])
+            np.concatenate([self.texture_weight * hist, self.geom_weight * means[0]])
         )
 

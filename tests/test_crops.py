@@ -8,19 +8,23 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from rayloc.contrastive import LinearEmbedder, crop_features
 from rayloc.crops import (
+    N_TEXTURE_IDS,
     OCCUPANCY_ONLY,
     OCCUPANCY_TEXTURE,
     PAD_OCCUPANCY,
     PAD_TEXTURE,
+    POOL_BLOCKS,
+    Crop,
     CropSpec,
-    block_mean,
     export_crop,
     extract_crop,
+    pool_crop,
 )
 from rayloc.errors import OutOfBoundsError, ValidationError
 from rayloc.floorplan import FloorPlan, Pose
-from rayloc.synth import WorldSpec, generate_world
+from rayloc.synth import RandomProjectionEmbedder, WorldSpec, generate_world
 
 
 class TestCropSpec:
@@ -32,9 +36,34 @@ class TestCropSpec:
         with pytest.raises(ValidationError):
             CropSpec(channels="depth")
 
+    @pytest.mark.parametrize("out_px", [3.0, 2.5, True, "5", np.float64(4.0)])
+    def test_non_integer_out_px_rejected(self, out_px):
+        with pytest.raises(ValidationError, match="integer"):
+            CropSpec(out_px=out_px)
+
+    @pytest.mark.parametrize("out_px", [2, 9, np.int64(9), np.int32(2), np.uint8(5)])
+    def test_integer_out_px_accepted(self, box_plan, out_px):
+        spec = CropSpec(side_m=0.5, out_px=out_px)
+        crop = extract_crop(box_plan, Pose(0.45, 0.45, 0.0), spec)
+        assert crop.out_px == out_px
+
     def test_resolve_px_defaults_to_map_resolution(self, box_plan):
         assert CropSpec(side_m=0.5).resolve_px(box_plan) == 5
         assert CropSpec(side_m=0.5, out_px=9).resolve_px(box_plan) == 9
+
+
+class TestCrop:
+    @pytest.mark.parametrize(
+        "shape", [(10, 16, 2), (16, 10, 2), (0, 0, 2), (1, 1, 1), (16, 16), (16, 16, 3), (16,), ()]
+    )
+    def test_unpoolable_pixels_rejected(self, shape):
+        with pytest.raises(ValidationError, match="shape"):
+            Crop(pixels=np.zeros(shape, np.uint8), meters_per_px=0.1, source_pose=Pose(0, 0, 0))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 1), (2, 2, 2), (16, 16, 1), (16, 16, 2)])
+    def test_square_pixels_accepted(self, shape):
+        crop = Crop(pixels=np.ones(shape, np.uint8), meters_per_px=0.1, source_pose=Pose(0, 0, 0))
+        assert crop.pixels.shape == shape and not crop.pixels.flags.writeable
 
 
 class TestExtractCrop:
@@ -204,30 +233,90 @@ def _naive_block_mean(arr, blocks):
     return out
 
 
-class TestBlockMean:
-    @settings(max_examples=200)
-    @given(
-        n=st.integers(2, 64),
-        blocks=st.integers(1, 10),
-        batch=st.integers(1, 3),
-        seed=st.integers(0, 2**32 - 1),
+def _reference_crop_features(crop):
+    """crop_features as the one-hot maps it pools: occupancy, then texture == k."""
+    maps = [crop.occupancy()]
+    if crop.texture() is not None:
+        maps += [crop.texture() == k for k in range(1, N_TEXTURE_IDS + 1)]
+    return np.ravel([_naive_block_mean(m.astype(float), POOL_BLOCKS) for m in maps])
+
+
+def _reference_embed_crop(emb, crop):
+    """RandomProjectionEmbedder.embed_crop with its own 256-bin texture histogram."""
+    tex = crop.texture()
+    if tex is None:
+        counts = np.zeros(256, dtype=np.int64)
+    else:
+        counts = np.bincount(tex.ravel().astype(np.int64), minlength=256)
+    geom = _naive_block_mean(crop.occupancy().astype(float), POOL_BLOCKS)
+    return emb._project(
+        np.concatenate(
+            [emb.texture_weight * emb._texture_feature(counts), emb.geom_weight * geom.ravel()]
+        )
     )
-    @example(n=3, blocks=8, batch=2, seed=0)  # empty blocks pool to 0.0
-    def test_matches_naive_loop(self, n, blocks, batch, seed):
-        rng = np.random.default_rng(seed)
-        binary = rng.integers(0, 2, size=(batch, n, n))
-        real = rng.normal(size=(batch, n, n))
-        pooled_binary = block_mean(binary, blocks)
-        pooled_real = block_mean(real, blocks)
-        # a second call with the same (n, blocks) reads the cached layout
-        pooled_again = block_mean(binary, blocks)
-        assert pooled_binary.shape == pooled_real.shape == (batch, blocks, blocks)
-        for k in range(batch):
-            expect = _naive_block_mean(binary[k].astype(float), blocks)
-            assert pooled_binary[k].tobytes() == expect.tobytes()
-            assert pooled_again[k].tobytes() == expect.tobytes()
-            assert np.allclose(
-                pooled_real[k], _naive_block_mean(real[k], blocks), rtol=0, atol=1e-12
-            )
-            # a slice pools exactly as it does inside the batch
-            assert block_mean(real[k], blocks).tobytes() == pooled_real[k].tobytes()
+
+
+def _outcome(embed, *args):
+    try:
+        return embed(*args).tobytes()
+    except ValidationError as exc:  # an all-zero feature vector is degenerate
+        return str(exc)
+
+
+@st.composite
+def _random_crops(draw):
+    """uint8 crops of 2..64 px (below 8 px some blocks are empty), one or two
+    channels, non-binary occupancy and texture ids up to 255 (a uint8 key wraps)."""
+    n = draw(st.integers(2, 64))
+    channels = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pixels = rng.integers(0, 256, size=(n, n, channels), dtype=np.uint8)
+    if channels == 2 and draw(st.booleans()):  # mostly ids the features keep
+        pixels[:, :, 1] = rng.integers(0, N_TEXTURE_IDS + 2, size=(n, n))
+    if draw(st.booleans()):  # binary occupancy, as extract_crop gives
+        pixels[:, :, 0] &= 1
+    return Crop(pixels=pixels, meters_per_px=0.1, source_pose=Pose(0.0, 0.0, 0.0))
+
+
+class TestPoolCrop:
+    @settings(max_examples=200)
+    @given(crop=_random_crops())
+    @example(
+        crop=Crop(
+            pixels=np.arange(18, dtype=np.uint8).reshape(3, 3, 2),
+            meters_per_px=0.1,
+            source_pose=Pose(0.0, 0.0, 0.0),
+        )
+    )  # 3 px: most of the 8 x 8 blocks are empty and pool to 0.0
+    def test_matches_naive_loop(self, crop):
+        means, totals = pool_crop(crop)
+        # a second call with the same size reads the cached block layout
+        again, totals_again = pool_crop(crop)
+        tex = crop.texture()
+        maps = [crop.occupancy()] + [
+            np.zeros_like(crop.occupancy()) if tex is None else tex == k
+            for k in range(1, N_TEXTURE_IDS + 1)
+        ]
+        assert means.shape == (1 + N_TEXTURE_IDS, POOL_BLOCKS * POOL_BLOCKS)
+        for row, m in enumerate(maps):
+            expect = _naive_block_mean(m.astype(float), POOL_BLOCKS).ravel()
+            assert means[row].tobytes() == expect.tobytes()
+            assert again[row].tobytes() == expect.tobytes()
+            assert totals[row] == totals_again[row] == int(m.astype(np.int64).sum())
+
+    @settings(max_examples=200)
+    @given(crop=_random_crops())
+    def test_features_and_embeddings_match_references(self, crop):
+        feats = crop_features(crop)
+        expect = _reference_crop_features(crop)
+        assert feats.shape == expect.shape == (64 if crop.texture() is None else 1088,)
+        assert feats.tobytes() == expect.tobytes()
+        assert feats.base is None  # its own array, not a view of all 17 pooled rows
+        rng = np.random.default_rng(crop.out_px)
+        linear = LinearEmbedder(weights=rng.normal(size=(8, feats.size)))
+        assert _outcome(linear.embed_crop, crop) == _outcome(linear.embed_features, expect)
+        for emb in (
+            RandomProjectionEmbedder(),
+            RandomProjectionEmbedder(texture_weight=1.0, geom_weight=1.0),
+        ):
+            assert _outcome(emb.embed_crop, crop) == _outcome(_reference_embed_crop, emb, crop)

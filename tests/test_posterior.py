@@ -504,7 +504,7 @@ class TestRayMajorErrorSum:
         assert scorer.table.dtype == np.int32
         assert scorer.table.nbytes == storage.nbytes == scorer.n_free * 4 * 6 * 4
         # the crop stage's caches hand out arrays that no caller can corrupt
-        for cached in (*crops._sample_offsets(5, 0.1), *crops._pool_layout(5, 8)):
+        for cached in (*crops._sample_offsets(5, 0.1), *crops._pool_blocks(5)):
             assert not cached.flags.writeable
             with pytest.raises(ValueError):
                 cached[...] = 0
