@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -36,7 +37,8 @@ WALL_THRESHOLD = 128  # graymap pixel < 128 => wall
 
 # cell codes of the padded grid that cast_rays walks
 _FREE, _WALL, _OUTSIDE = 0, 1, 2
-_COMPACT_STEPS = 8  # traversal steps between compactions of the live rays
+_STEP_BUDGET = 64  # stencil steps first generated per ray, doubled per segment
+_SEGMENT_ENTRIES = 1 << 18  # most stencil steps generated at once
 
 
 @dataclass(frozen=True)
@@ -121,6 +123,15 @@ class FloorPlan:
         row, col = self.world_to_cell(x, y)
         return 0 <= row < self.height_cells and 0 <= col < self.width_cells
 
+    @functools.cached_property
+    def _walk_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """What :func:`cast_rays` walks, flat and once per quadrant: the cell
+        codes of the occupancy grid padded with a one-cell ``_OUTSIDE`` ring,
+        and each padded cell's :func:`_clearance` in that quadrant."""
+        cells = np.full((self.height_cells + 2, self.width_cells + 2), _OUTSIDE, dtype=np.uint8)
+        cells[1:-1, 1:-1] = self.occupancy
+        return np.tile(cells.ravel(), 4), _clearance(cells != _FREE).ravel()
+
     def is_free(self, x: float, y: float) -> bool:
         row, col = self.world_to_cell(x, y)
         if not (0 <= row < self.height_cells and 0 <= col < self.width_cells):
@@ -183,6 +194,114 @@ def ray_bearings(theta: float, n_rays: int, fov: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _clearance(blocked: np.ndarray) -> np.ndarray:
+    """Per quadrant q = (step_x < 0) + 2 * (step_y < 0) and cell: the fewest
+    unit steps in that quadrant's two directions (+-1 column, +-1 row) from
+    the cell to a True cell of ``blocked``, 0 on those. A ray heading into
+    quadrant q from a cell of clearance c therefore enters only free cells
+    in its next c - 1 steps. Every path must end on a True cell (a blocked
+    outer ring ensures it); ``(4, h, w)``."""
+    h, w = blocked.shape
+    out = np.empty((4, h, w), dtype=np.int32)
+    cols = np.arange(w)
+    for q in range(4):
+        view = (slice(None, None, -1 if q & 2 else 1), slice(None, None, -1 if q & 1 else 1))
+        ahead = np.full(w, h + w)  # clearance of the row ahead, none yet
+        for row, dist in zip(blocked[view][::-1], out[q][view][::-1]):
+            # c(col) = min over k >= 0 of k + (0 on a blocked cell, else 1 + ahead)
+            reach = np.where(row, 0, ahead + 1) + cols
+            dist[:] = ahead = np.minimum.accumulate(reach[::-1])[::-1] - cols
+    return out
+
+
+def _stencil_rays(
+    plan: FloorPlan, xs: np.ndarray, ys: np.ndarray, bearings: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The rays of a :func:`cast_rays` batch whose origins lie in the map:
+    their flat indices into the broadcast batch, their start indices into
+    ``plan._walk_grid`` (in their quadrant's copy) and their stencils; and the
+    stencils' traversal state before the first step, as
+    :func:`_extend_stencils` takes it."""
+    shape = np.broadcast_shapes(xs.shape, ys.shape, bearings.shape)
+    h, w = plan.height_cells, plan.width_cells
+    px, py = (xs - plan.origin[0]) / plan.resolution, (ys - plan.origin[1]) / plan.resolution
+    fx, fy = np.floor(px), np.floor(py)
+    inside = (fx >= 0) & (fx < w) & (fy >= 0) & (fy < h)
+    start = np.where(inside, (fy + 1) * (w + 2) + fx + 1, 0).astype(np.intp)
+    # an origin's key: floor(p) - p and floor(p) + 1 - p per axis (+ 0.0: no
+    # negative zero, as from an integer cell), on which every float of its
+    # traversal depends; equal keys are equal bytes
+    key = np.empty(inside.shape + (4,))
+    key[..., 0], key[..., 1] = (fx + 0.0) - px, (fx + 1.0) - px
+    key[..., 2], key[..., 3] = (fy + 0.0) - py, (fy + 1.0) - py
+    keys, pair_of = np.unique(key.reshape(-1, 4).view("V32"), return_inverse=True)
+    keys = keys.view(float).reshape(-1, 4)
+    angles, angle_of = np.unique(bearings, return_inverse=True)
+
+    # a stencil per (key pair, bearing) in use: every combination when there
+    # are no more of those than rays, else only those that occur
+    ids = np.flatnonzero(np.broadcast_to(inside, shape))
+    stencil = (
+        np.broadcast_to(pair_of.reshape(inside.shape) * angles.size, shape).reshape(-1)[ids]
+        + np.broadcast_to(angle_of.reshape(bearings.shape), shape).reshape(-1)[ids]
+    )
+    if keys.shape[0] * angles.size <= ids.size:
+        stencils = np.arange(keys.shape[0] * angles.size)
+    else:
+        stencils, stencil = np.unique(stencil, return_inverse=True)
+    pair, angle = np.divmod(stencils, angles.size)
+    dx, dy = np.cos(angles), np.sin(angles)
+    # 1 / d, and 0 where an axis never steps so that _extend_stencils adds 0
+    inv_dx = np.divide(1.0, dx, out=np.zeros_like(dx), where=dx != 0)
+    inv_dy = np.divide(1.0, dy, out=np.zeros_like(dy), where=dy != 0)
+    # distance (in cell units) to the first x/y grid-line crossing
+    t_max_x = keys[pair, (dx > 0).astype(int)[angle]] * inv_dx[angle]
+    t_max_y = keys[pair, (dy > 0).astype(int)[angle] + 2] * inv_dy[angle]
+    t_max = np.where(np.stack([dx, dy])[:, angle] != 0, np.stack([t_max_x, t_max_y]), np.inf)
+    quadrant = ((dx < 0) + 2 * (dy < 0)) * ((h + 2) * (w + 2))
+    base = np.broadcast_to(start, shape).reshape(-1)[ids] + quadrant[angle][stencil]
+    index = np.int32 if 4 * (h + 2) * (w + 2) < 2**31 else np.int64
+    state = [
+        t_max, np.abs(np.stack([inv_dx, inv_dy]))[:, angle],
+        np.where(dx >= 0, 1, -1).astype(index)[angle],
+        np.where(dy >= 0, w + 2, -(w + 2)).astype(index)[angle],
+        np.zeros(stencils.size, dtype=index),
+    ]
+    return ids, base, stencil, state
+
+
+def _extend_stencils(state: list[np.ndarray], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next ``m`` steps of the stencils in ``state`` = [t_max (2, n),
+    t_delta (2, n), step_x, step_y, offset], advanced in place: per step and
+    stencil, the offset of the cell entered and its crossing distance, as
+    flat ``(m, n)`` arrays. Each step is the Amanatides-Woo step (x on ties,
+    the crossing is min(t_max_x, t_max_y)), so every float is the one a
+    per-ray walk computes."""
+    t_max, t_delta, step_x, step_y, offset = state
+    go_x = np.empty((m, offset.size), dtype=bool)
+    crossings = np.empty((m, offset.size))
+    t_max_x, t_max_y = t_max
+    # t_max -= go_x * (-t_delta_x, t_delta_y) + (0, -t_delta_y) adds t_delta
+    # to the axis that steps and subtracts +0.0 from the other, which changes
+    # no float (not even -0.0): a masked add without the mask
+    scale = t_delta * np.array([[-1.0], [1.0]])
+    shift = t_delta * np.array([[0.0], [-1.0]])
+    sub = np.empty(t_max.shape)
+    for go, crossing in zip(go_x, crossings):
+        np.less_equal(t_max_x, t_max_y, out=go)
+        np.minimum(t_max_x, t_max_y, out=crossing)
+        np.multiply(go, scale, out=sub)
+        sub += shift
+        t_max -= sub
+    offsets = go_x * (step_x - step_y)
+    offsets += step_y
+    offsets[0] += offset
+    for prev, row in zip(offsets, offsets[1:]):
+        row += prev
+    offset[:] = offsets[-1]
+    return offsets.reshape(-1), crossings.reshape(-1)
+
+
 def cast_rays(
     plan: FloorPlan,
     xs: np.ndarray,
@@ -190,89 +309,86 @@ def cast_rays(
     bearings: np.ndarray,
     max_range: float = DEFAULT_MAX_RANGE,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized grid traversal (Amanatides-Woo) for a batch of rays.
+    """Exact grid traversal (Amanatides-Woo) for a batch of rays.
 
-    Each ray visits every crossed cell exactly once; the returned depth is the
-    distance to the near boundary of the first wall cell. Rays that leave the
-    map or exceed max_range are clamped to max_range with hit == False.
+    ``xs``, ``ys`` and ``bearings`` broadcast together; the depths and hits
+    have the broadcast shape. Each ray crosses cells in order; its depth is
+    the distance to the near boundary of the first wall cell. Rays that
+    leave the map or exceed max_range are clamped to max_range with hit ==
+    False. Origins must lie in free cells inside the map (not validated
+    here; the scalar wrapper :func:`cast_ray` validates); a ray whose origin
+    lies outside the map returns max_range, no hit.
 
-    Origins must lie in free cells inside the map (not validated here; the
-    scalar wrapper :func:`cast_ray` validates); a ray whose origin lies outside
-    the map returns max_range, no hit.
+    The traversal's floats (first crossings, per-axis increments, the
+    x-or-y choice of each step and each crossing distance) depend only on
+    the bearing and on the origin's per-axis keys, ``floor(p) - p`` and
+    ``floor(p) + 1 - p`` with p in cell units. Rays that share all three
+    share one *stencil*: per step, the offset of the cell entered relative
+    to the start cell and the crossing distance, computed once by the
+    traversal's own arithmetic. A ray then walks its stencil by clearance
+    jumps: from a free cell whose :func:`_clearance` in the ray's quadrant
+    is c, the next c - 1 cells are free, so it advances c steps at once.
+    Only an index moves, so each depth is the stored float of the
+    step-by-step traversal. Stencils are generated whole when many rays
+    share them, else in growing segments for the rays that still need
+    them, and never beyond the h + w + 2 steps that reach the map edge.
     """
-    xs = np.asarray(xs, dtype=float).ravel()
-    ys = np.asarray(ys, dtype=float).ravel()
-    bearings = np.asarray(bearings, dtype=float).ravel()
-    n = xs.size
-    res = plan.resolution
-    h, w = plan.height_cells, plan.width_cells
-
-    # The walk moves a linear index one cell per step through the occupancy
-    # grid padded with a one-cell ring, so a ray that leaves the map stops on
-    # that ring. A ray that reaches a wall or the ring is frozen there (zero
-    # steps and increments); every _COMPACT_STEPS steps the frozen rays are
-    # recorded and only the live rays' state is kept.
-    stride = w + 2
-    cells = np.full((h + 2, stride), _OUTSIDE, dtype=np.uint8)
-    cells[1:-1, 1:-1] = plan.occupancy
-    cells = cells.ravel()
-
-    px = (xs - plan.origin[0]) / res
-    py = (ys - plan.origin[1]) / res
-    cx = np.floor(px).astype(np.int64)
-    cy = np.floor(py).astype(np.int64)
-
-    dx = np.cos(bearings)
-    dy = np.sin(bearings)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_dx = np.where(dx != 0, 1.0 / dx, np.inf)
-        inv_dy = np.where(dy != 0, 1.0 / dy, np.inf)
-        # distance (in cell units) to the first x/y grid-line crossing
-        t_max_x = np.where(
-            dx != 0, (cx + (dx > 0).astype(float) - px) * inv_dx, np.inf
-        )
-        t_max_y = np.where(
-            dy != 0, (cy + (dy > 0).astype(float) - py) * inv_dy, np.inf
-        )
-
-    depth = np.full(n, float(max_range))
-    hit = np.zeros(n, dtype=bool)
-    range_cells = max_range / res
-
-    # A step crosses into its cell at min(t_max_x, t_max_y), which never
-    # decreases along a ray: a ray is dropped once its next crossing lies
-    # beyond range, and a wall is a hit only when crossed within range.
-    ids = np.flatnonzero(
-        (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
-        & (np.minimum(t_max_x, t_max_y) < range_cells)
-    )
-    lin = ((cy + 1) * stride + cx + 1)[ids]
-    step_x = np.where(dx >= 0, 1, -1)[ids]
-    step_y = np.where(dy >= 0, stride, -stride)[ids]
-    t_max_x, t_max_y = t_max_x[ids], t_max_y[ids]
-    t_delta_x, t_delta_y = np.abs(inv_dx)[ids], np.abs(inv_dy)[ids]
-    state = (ids, lin, step_x, step_y, t_max_x, t_max_y, t_delta_x, t_delta_y)
-
-    steps = 0
-    while ids.size:
-        go_x = t_max_x <= t_max_y
-        lin += np.where(go_x, step_x, step_y)
-        code = cells.take(lin)
-        stopped = np.flatnonzero(code)
-        for a in (step_x, step_y, t_delta_x, t_delta_y):
-            a[stopped] = 0
-        np.add(t_max_x, t_delta_x, out=t_max_x, where=go_x)
-        np.add(t_max_y, t_delta_y, out=t_max_y, where=~go_x)
-        steps += 1
-        if steps % _COMPACT_STEPS == 0:
-            t_cross = np.minimum(t_max_x, t_max_y)  # a frozen ray's last crossing
-            wall = (code == _WALL) & (t_cross < range_cells)
-            depth[ids[wall]] = t_cross[wall] * res
-            hit[ids[wall]] = True
-            live = np.flatnonzero((code == _FREE) & (t_cross < range_cells))
-            state = tuple(a.take(live) for a in state)
-            ids, lin, step_x, step_y, t_max_x, t_max_y, t_delta_x, t_delta_y = state
-
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    bearings = np.asarray(bearings, dtype=float)
+    depth = np.full(np.broadcast_shapes(xs.shape, ys.shape, bearings.shape), float(max_range))
+    hit = np.zeros(depth.shape, dtype=bool)
+    flat_depth, flat_hit = depth.reshape(-1), hit.reshape(-1)
+    cells, clearance = plan._walk_grid
+    range_cells = max_range / plan.resolution
+    ids, base, stencil, state = _stencil_rays(plan, xs, ys, bearings)
+    # per live ray: its flat index into the batch, its start index into cells
+    # and its position in a segment's flat (step, stencil) table
+    rays = np.stack([ids, base, np.maximum(clearance.take(base), 1) - 1])
+    rays[2] *= state[-1].size
+    rays[2] += stencil
+    del ids, base, stencil
+    # a crossing count within range_cells is at most 2 * range_cells + 2
+    cap = int(min(plan.height_cells + plan.width_cells + 2, 2 * range_cells + 2))
+    done = 0  # steps of every stencil generated so far
+    budget = _STEP_BUDGET  # steps per ray, doubled every segment
+    while rays.shape[1] and done < cap:
+        n = state[-1].size
+        m = min(cap - done, max(1, min(budget * rays.shape[1], _SEGMENT_ENTRIES) // n))
+        offsets, crossings = _extend_stencils(state, m)
+        offsets[crossings >= range_cells] = cells.size  # read as outside, below
+        waiting = []
+        while rays.shape[1]:
+            beyond = rays[2] >= m * n
+            if beyond.any():
+                waiting.append(rays[:, beyond])
+                rays = rays[:, ~beyond]
+            lin = rays[1] + offsets.take(rays[2])
+            code = cells.take(lin, mode="clip")  # a sentinel reads the last, outside cell
+            wall = (code == _WALL).nonzero()[0]
+            if wall.size:
+                ids = rays[0].take(wall)
+                flat_depth[ids] = crossings.take(rays[2].take(wall)) * plan.resolution
+                flat_hit[ids] = True
+            go = (code == _FREE).nonzero()[0]
+            rays = rays.take(go, axis=1)
+            rays[2] += np.multiply(clearance.take(lin.take(go)), n, dtype=np.intp)
+        done += m
+        if not waiting or done >= cap:
+            break
+        # the waiting rays whose stencils ended this segment in range go on
+        rays = np.concatenate(waiting, axis=1)
+        rays[2] -= m * n
+        stencil = rays[2] % n
+        live = crossings[(m - 1) * n + stencil] < range_cells
+        del waiting, offsets, crossings  # before the next segment is allocated
+        live = live.nonzero()[0]
+        rays, stencil = rays.take(live, axis=1), stencil.take(live)
+        needed = np.zeros(n, dtype=bool)
+        needed[stencil] = True
+        state = [a.take(needed.nonzero()[0], axis=-1) for a in state]
+        rays[2] = rays[2] // n * state[-1].size + (np.cumsum(needed) - 1)[stencil]
+        budget *= 2
     return depth, hit
 
 
@@ -292,8 +408,8 @@ def cast_ray(
         raise OutOfBoundsError(f"ray origin ({x}, {y}) outside map")
     if not plan.is_free(x, y):
         raise OccupiedOriginError(f"ray origin ({x}, {y}) inside a wall cell")
-    depth, hit = cast_rays(plan, [x], [y], [bearing], max_range)
-    return float(depth[0]), bool(hit[0])
+    depth, hit = cast_rays(plan, x, y, bearing, max_range)
+    return float(depth), bool(hit)
 
 
 def render_gt_rays(
@@ -309,13 +425,7 @@ def render_gt_rays(
     if not plan.is_free(pose.x, pose.y):
         raise OccupiedOriginError(f"pose ({pose.x}, {pose.y}) inside a wall cell")
     bearings = ray_bearings(pose.theta, n_rays, fov)
-    depths, hits = cast_rays(
-        plan,
-        np.full(n_rays, pose.x),
-        np.full(n_rays, pose.y),
-        bearings,
-        max_range,
-    )
+    depths, hits = cast_rays(plan, pose.x, pose.y, bearings, max_range)
     return RayFan(depths=depths, fov=fov, max_range=max_range, hits=hits)
 
 
@@ -520,6 +630,8 @@ def load_floorplan(path: str) -> FloorPlan:
 
     texture = None
     tex_path = meta.get("texture_path")
+    if tex_path is not None and not isinstance(tex_path, str):
+        raise FormatError(f"{meta_path}: texture_path must be a string")
     if tex_path:
         full = os.path.join(os.path.dirname(os.path.abspath(path)), tex_path)
         texture = read_pgm(full)

@@ -37,8 +37,9 @@ MAX_TABLE_RANGE = (2**31 - 1) * DEPTH_QUANTUM  # meters; the largest int32 depth
 
 PROBMAP_MAGIC = b"DPMF"
 
-BLOCK_RAYS = 30_000  # rays cast per table-build block, rounded down to whole cells;
-# about 20 cells of 36 x 40 rays, so two blocks in flight stay small beside the table
+BLOCK_RAYS = 50_000  # rays cast per table-build block, as every free cell times a
+# run of bearings: big enough that cells share traversal stencils, small
+# enough that two blocks in flight stay small beside the table
 
 
 def usable_cpus() -> int:
@@ -172,9 +173,10 @@ class GridScorer:
     localizations on the same map. It holds int32 depths in DEPTH_QUANTUM
     units (so `max_range` <= MAX_TABLE_RANGE), stored ray-major as (n_rays,
     n_free, n_orientations); `table` is its (n_free, n_orientations, n_rays)
-    view. It is filled in blocks of whole free cells on `threads` worker
-    threads (default: :func:`usable_cpus`) and does not depend on their
-    count. Error sums are exact in int32 when n_rays times the largest
+    view. Each block casts every free cell against a run of bearings
+    (`BLOCK_RAYS` rays in all, rounded down to whole bearings), on `threads`
+    worker threads (default: :func:`usable_cpus`); the table does not depend
+    on their count. Error sums are exact in int32 when n_rays times the largest
     per-ray error (max_range in quanta, plus one for `check_depth_range`'s
     slack) fits, else in int64.
     """
@@ -222,25 +224,23 @@ class GridScorer:
         thetas = grid.orientation_centers()
         # bearings of one cell's rays, orientation-major: (n_ori * n_rays,)
         bearings = np.concatenate([ray_bearings(t, n_rays, fov) for t in thetas])
-        per_cell = bearings.size
-        cells = max(1, BLOCK_RAYS // per_cell)
+        per_block = max(1, BLOCK_RAYS // n_free)  # bearings cast per block
         self._rays = np.empty((n_rays, n_free, grid.n_orientations), dtype=np.int32)
         self.table = self._rays.transpose(1, 2, 0)  # a view: no second copy
         bound = n_rays * (np.rint(max_range / DEPTH_QUANTUM) + 1)
         self._err_dtype = np.int32 if bound <= np.iinfo(np.int32).max else np.int64
 
         def fill(lo: int) -> None:
-            x, y = self.free_x[lo : lo + cells], self.free_y[lo : lo + cells]
             d, _ = cast_rays(
-                plan, np.repeat(x, per_cell), np.repeat(y, per_cell),
-                np.tile(bearings, x.size), max_range,
+                plan, self.free_x[:, None], self.free_y[:, None],
+                bearings[None, lo : lo + per_block], max_range,
             )
-            self.table[lo : lo + x.size] = np.rint(d / DEPTH_QUANTUM).reshape(
-                x.size, *self.table.shape[1:]
-            )
+            for j, column in enumerate(np.rint(d / DEPTH_QUANTUM).T, start=lo):
+                orientation, ray = divmod(j, n_rays)
+                self._rays[ray, :, orientation] = column
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(0, n_free, cells)))
+            list(pool.map(fill, range(0, bearings.size, per_block)))
 
     @property
     def n_free(self) -> int:

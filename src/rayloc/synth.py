@@ -338,12 +338,11 @@ def valid_gt_poses(
     if plan.texture is not None:
         ok &= plan.texture > 0
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6A5E5]))
-    poses = []
-    for r, c in np.argwhere(ok):
-        x, y = plan.cell_center(int(r), int(c))
-        theta = TWO_PI * int(rng.integers(n_orientations)) / n_orientations
-        poses.append(Pose(x, y, theta))
-    return poses
+    rows, cols = np.nonzero(ok)
+    xs = plan.origin[0] + (cols + 0.5) * plan.resolution
+    ys = plan.origin[1] + (rows + 0.5) * plan.resolution
+    thetas = TWO_PI * rng.integers(n_orientations, size=rows.size) / n_orientations
+    return [Pose(x, y, t) for x, y, t in zip(xs.tolist(), ys.tolist(), thetas.tolist())]
 
 
 def simulate_observation(

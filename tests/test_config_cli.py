@@ -703,6 +703,8 @@ class TestCliInputErrors:
             ("map.json", "5"),
             ("map.json", '{"resolution_m": NaN}'),
             ("map.json", '{"resolution_m": 0.1, "origin_m": [0.0, Infinity]}'),
+            ("map.json", '{"resolution_m": 0.1, "texture_path": 5}'),
+            ("map.json", '{"resolution_m": 0.1, "texture_path": true}'),
             ("rays.csv", "ray,depth_m\n0,abc\n"),
             ("rays.csv", "ray,depth_m\n0\n"),
             ("rays.csv", "nan"),

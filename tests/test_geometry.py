@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rayloc import floorplan
 from rayloc.errors import (
     FormatError,
     OccupiedOriginError,
@@ -157,7 +158,7 @@ class TestMarchOracleAgreement:
 def _reference_cast_rays(plan, xs, ys, bearings, max_range):
     """The straightforward Amanatides-Woo traversal that cast_rays replaced:
     every ray's state is gathered and scattered through `active` on each step.
-    Test oracle for the compacted traversal, which must agree bit for bit."""
+    Test oracle for the stencil traversal, which must agree bit for bit."""
     xs = np.asarray(xs, dtype=float).ravel()
     ys = np.asarray(ys, dtype=float).ravel()
     bearings = np.asarray(bearings, dtype=float).ravel()
@@ -225,6 +226,30 @@ def _reference_cast_rays(plan, xs, ys, bearings, max_range):
 AXIS_BEARINGS = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
 
 
+class TestClearance:
+    @settings(max_examples=60)
+    @given(
+        h=st.integers(1, 14), w=st.integers(1, 14),
+        density=st.sampled_from([0.0, 0.05, 0.2, 0.5]), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_brute_force(self, h, w, density, seed):
+        # a random grid inside a blocked ring, as cast_rays pads the map
+        blocked = np.ones((h + 2, w + 2), dtype=bool)
+        blocked[1:-1, 1:-1] = np.random.default_rng(seed).random((h, w)) < density
+        got = floorplan._clearance(blocked)
+        rows, cols = np.nonzero(blocked)
+        for q in range(4):
+            sc, sr = (-1 if q & 1 else 1), (-1 if q & 2 else 1)
+            for r in range(h + 2):
+                for c in range(w + 2):
+                    dc, dr = (cols - c) * sc, (rows - r) * sr
+                    ahead = (dc >= 0) & (dr >= 0)
+                    assert got[q, r, c] == (dc + dr)[ahead].min()
+
+    def test_cached_per_plan(self, box_plan):
+        assert box_plan._walk_grid is box_plan._walk_grid
+
+
 @st.composite
 def ray_batches(draw):
     """A random open or walled grid and a batch of rays whose origins lie in
@@ -241,11 +266,14 @@ def ray_batches(draw):
     plan = FloorPlan(occupancy=occ, resolution=res, origin=origin)
 
     n = draw(st.integers(1, 40))
-    where = draw(st.sampled_from(["boundary", "center", "anywhere"]))
-    if where == "boundary":
-        stride = 2 * res
-        xs = origin[0] + (rng.integers(0, max(1, w // 2), n) + 0.5) * stride
-        ys = origin[1] + (rng.integers(0, max(1, h // 2), n) + 0.5) * stride
+    where = draw(st.sampled_from(["boundary", "stride", "center", "anywhere"]))
+    if where in ("boundary", "stride"):
+        # pose-grid cell centres: on cell boundaries at twice the resolution;
+        # at the resolution, whose centres share a few traversal keys; or at
+        # 1.37 times it, whose centres share none
+        stride = res * (2 if where == "boundary" else draw(st.sampled_from([1, 1.37])))
+        xs = origin[0] + (rng.integers(0, max(1, int(w * res / stride)), n) + 0.5) * stride
+        ys = origin[1] + (rng.integers(0, max(1, int(h * res / stride)), n) + 0.5) * stride
     else:
         frac = np.full((2, n), 0.5) if where == "center" else rng.random((2, n))
         xs = origin[0] + (rng.integers(0, w, n) + frac[0]) * res
@@ -275,6 +303,48 @@ class TestCastRaysOracle:
         ref_depths, ref_hits = _reference_cast_rays(plan, xs, ys, bearings, max_range)
         assert np.array_equal(depths, ref_depths)
         assert np.array_equal(hits, ref_hits)
+
+    @settings(max_examples=150)
+    @given(ray_batches())
+    def test_broadcast_matches_reference_traversal(self, batch):
+        # every origin of the batch against every bearing, as GridScorer casts
+        plan, xs, ys, bearings, max_range = batch
+        depths, hits = cast_rays(plan, xs[:, None], ys[:, None], bearings[None, :], max_range)
+        ref_depths, ref_hits = _reference_cast_rays(
+            plan, np.repeat(xs, bearings.size), np.repeat(ys, bearings.size),
+            np.tile(bearings, xs.size), max_range,
+        )
+        assert depths.shape == hits.shape == (xs.size, bearings.size)
+        assert np.array_equal(depths.ravel(), ref_depths)
+        assert np.array_equal(hits.ravel(), ref_hits)
+
+    def test_empty_and_scalar_batches(self, box_plan):
+        depths, hits = cast_rays(box_plan, np.zeros((0, 1)), 0.5, np.zeros((1, 3)))
+        assert depths.shape == hits.shape == (0, 3)
+        depth, hit = cast_rays(box_plan, 0.5, 0.5, 0.0)
+        assert depth.shape == () and hit and depth == pytest.approx(0.4, abs=1e-12)
+
+    def test_long_range_on_a_fine_map(self, monkeypatch):
+        # 0.01 m cells and a 100 m range: stencils stop at the map edge, never
+        # at the 10,000 cells of the range
+        h, w = 150, 240
+        occ = np.zeros((h, w), dtype=bool)
+        occ[60:70, 100:180] = True
+        plan = FloorPlan(occupancy=occ, resolution=0.01)
+        steps = []
+        extend = floorplan._extend_stencils
+        monkeypatch.setattr(
+            floorplan, "_extend_stencils", lambda state, m: steps.append(m) or extend(state, m)
+        )
+        rng = np.random.default_rng(3)
+        xs, ys = rng.uniform(0.0, 2.4, 50), rng.uniform(0.0, 0.55, 50)
+        bearings = rng.uniform(0, 2 * math.pi, 60)
+        depths, hits = cast_rays(plan, xs[:, None], ys[:, None], bearings[None, :], 100.0)
+        assert sum(steps) <= h + w + 2
+        ref = _reference_cast_rays(
+            plan, np.repeat(xs, 60), np.repeat(ys, 60), np.tile(bearings, 50), 100.0
+        )
+        assert np.array_equal(depths.ravel(), ref[0]) and np.array_equal(hits.ravel(), ref[1])
 
     @pytest.mark.parametrize("bearing", AXIS_BEARINGS)
     @pytest.mark.parametrize("max_range", [0.77, 0.4])

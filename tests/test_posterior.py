@@ -1,6 +1,7 @@
 """Pose-grid scoring, probability-map invariants, and candidate selection."""
 
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -292,32 +293,62 @@ class TestBlockedTableBuild:
         extent=st.tuples(st.sampled_from([4.0, 5.0, 6.0]), st.sampled_from([3.0, 4.0])),
         seed=st.integers(0, 50),
         stride=st.sampled_from([0.2, 0.3, 0.45]),
-        n_ori=st.integers(1, 8),
+        n_ori=st.integers(2, 8),
         n_rays=st.integers(2, 12),
         max_range=st.sampled_from([1.5, 10.0]),
         threads=st.sampled_from([1, 2, 3]),
-        block_cells=st.integers(1, 4),
+        block_bearings=st.integers(1, 3),
         spare_rays=st.integers(0, 95),
     )
     def test_matches_single_cast(
         self, extent, seed, stride, n_ori, n_rays, max_range, threads,
-        block_cells, spare_rays,
+        block_bearings, spare_rays,
     ):
         plan, _ = generate_world(
             WorldSpec(layout="random-partition", extent=extent, seed=seed)
         )
         grid = PoseGridSpec(cell_stride=stride, n_orientations=n_ori)
-        per_cell = n_ori * n_rays
+        n_free = GridScorer(plan, grid, n_rays=n_rays, max_range=0.1).n_free
         with pytest.MonkeyPatch.context() as mp:
-            # a few cells per block, plus rays that must round down to whole cells
+            # a few bearings per block, plus rays that must round down to whole
+            # bearings (every free cell casts each one)
             mp.setattr(
-                scoring, "BLOCK_RAYS", block_cells * per_cell + spare_rays % per_cell
+                scoring, "BLOCK_RAYS", block_bearings * n_free + spare_rays % n_free
             )
             scorer = GridScorer(
                 plan, grid, n_rays=n_rays, max_range=max_range, threads=threads
             )
-        assert scorer.n_free > 2 * block_cells  # several blocks, the last ragged or not
+        assert n_ori * n_rays > block_bearings  # several blocks, the last ragged or not
         assert scorer.table.tobytes() == _reference_table(scorer).tobytes()
+
+    @pytest.mark.parametrize(
+        "spec,stride,digest",
+        [
+            (
+                WorldSpec(seed=1), 0.1,
+                "807999a60405197f5c1673fe87b2f641ca3aba568f79a98f8d00c033ce0649d0",
+            ),
+            (
+                WorldSpec(layout="corridor-of-4", extent=(10.0, 4.0), seed=1), 0.1,
+                "1ea06001f7dcf15fb9f50f28266a447a1cbbf70e242345054afb7597bd8a8414",
+            ),
+            (
+                # a stride whose cell centres share no traversal key
+                WorldSpec(seed=1), 0.137,
+                "a4655944428276557e3005fc1332916daa5437b63fd5d0ac0059dfa176eff7cd",
+            ),
+        ],
+    )
+    def test_pinned_tables(self, spec, stride, digest):
+        """The perfbench-sized tables, byte for byte as the per-ray traversal
+        built them, at any thread count."""
+        plan, _ = generate_world(spec)
+        for threads in (1, 2, 3):
+            scorer = GridScorer(
+                plan, PoseGridSpec(stride, 36), n_rays=40, fov=math.radians(108),
+                max_range=10.0, threads=threads,
+            )
+            assert hashlib.sha256(scorer.table.tobytes()).hexdigest() == digest
 
 
 def _float_posterior(scorer: GridScorer, pred: np.ndarray, sigma: float) -> np.ndarray:

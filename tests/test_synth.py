@@ -10,6 +10,7 @@ from rayloc.crops import CropSpec, extract_crop
 from rayloc.errors import ConfigurationError, ValidationError
 from rayloc.floorplan import Pose, render_gt_rays
 from rayloc.synth import (
+    POSE_CLEARANCE_M,
     NoiseSpec,
     ObservationSignature,
     RandomProjectionEmbedder,
@@ -135,6 +136,42 @@ class TestValidGtPoses:
     def test_deterministic(self):
         plan, _ = generate_world(WorldSpec(seed=0))
         assert valid_gt_poses(plan, seed=5) == valid_gt_poses(plan, seed=5)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            WorldSpec(seed=2),
+            WorldSpec(seed=3),
+            WorldSpec(layout="corridor-of-4", extent=(10.0, 4.0), seed=1),
+            WorldSpec(layout="random-partition", seed=4),
+            WorldSpec(layout="corridor-of-3", texture_policy="none", seed=7),
+        ],
+    )
+    def test_matches_per_cell_draws(self, spec):
+        plan, poses = generate_world(spec)
+        ref = _reference_gt_poses(plan, seed=spec.seed)
+        assert len(poses) == len(ref) > 0
+        for p, q in zip(poses, ref):
+            assert (p.x.hex(), p.y.hex(), p.theta.hex()) == (q.x.hex(), q.y.hex(), q.theta.hex())
+
+
+def _reference_gt_poses(plan, seed, clearance_m=POSE_CLEARANCE_M, n_orientations=36):
+    """valid_gt_poses as a per-cell loop: one heading draw and one Pose per
+    eligible cell, in row-major order."""
+    from scipy import ndimage
+
+    radius = max(1, int(math.ceil(clearance_m / plan.resolution)))
+    footprint = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
+    ok = ~ndimage.binary_dilation(plan.occupancy, structure=footprint)
+    if plan.texture is not None:
+        ok &= plan.texture > 0
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6A5E5]))
+    poses = []
+    for r, c in np.argwhere(ok):
+        x, y = plan.cell_center(int(r), int(c))
+        theta = 2 * math.pi * int(rng.integers(n_orientations)) / n_orientations
+        poses.append(Pose(x, y, theta))
+    return poses
 
 
 class TestRelabelTexture:
