@@ -269,16 +269,16 @@ def _mining_dataset(cfg: RunConfig):
                 f"world seed {cfg.world.seed + which} yields no ground-truth poses to mine"
             )
         dataset.append((plans[which], pool[int(rng.integers(len(pool)))]))
-    return plans, dataset
+    return dataset
 
 
-def _mine_all(cfg: RunConfig) -> tuple[list, list, list[MinedSample], np.ndarray]:
+def _mine_all(cfg: RunConfig) -> tuple[list, list[MinedSample], np.ndarray]:
     """Mine every anchor and freeze its visual-side embedding.
 
     The visual side is the reference embedder applied to the floorplan crop at
     the anchor's true pose, with texture and geometry weighted equally so the
     embedding varies within rooms as well as across them."""
-    plans, dataset = _mining_dataset(cfg)
+    dataset = _mining_dataset(cfg)
     embedder = RandomProjectionEmbedder(
         dim=cfg.embedder.dim,
         seed=cfg.embedder.seed,
@@ -286,16 +286,13 @@ def _mine_all(cfg: RunConfig) -> tuple[list, list, list[MinedSample], np.ndarray
         texture_weight=1.0,
         geom_weight=1.0,
     )
-    mined = []
-    anchor_embeddings = []
-    for j, (plan, gt) in enumerate(dataset):
-        mined.append(mine_samples(dataset, j, cfg.perturb, cfg.mining, cfg.crop))
-        anchor_embeddings.append(embedder.embed_crop(extract_crop(plan, gt, cfg.crop)))
-    return plans, dataset, mined, np.stack(anchor_embeddings)
+    mined = [mine_samples(dataset, j, cfg.perturb, cfg.mining, cfg.crop) for j in range(len(dataset))]
+    anchors = np.stack([embedder.embed_crop(extract_crop(plan, gt, cfg.crop)) for plan, gt in dataset])
+    return dataset, mined, anchors
 
 
 def cmd_mine(cfg: RunConfig, args) -> None:
-    _, _, mined, anchor_embeddings = _mine_all(cfg)
+    _, mined, anchor_embeddings = _mine_all(cfg)
     crop_dir = os.path.join(args.out, "crops")
     os.makedirs(crop_dir, exist_ok=True)
     records = []
@@ -319,7 +316,7 @@ def cmd_mine(cfg: RunConfig, args) -> None:
 
 
 def cmd_train_embedder(cfg: RunConfig, args) -> None:
-    _, dataset, mined, anchor_embeddings = _mine_all(cfg)
+    dataset, mined, anchor_embeddings = _mine_all(cfg)
     samples = build_training_samples(mined, anchor_embeddings)
     samples = add_peer_negatives(
         samples,
@@ -328,13 +325,16 @@ def cmd_train_embedder(cfg: RunConfig, args) -> None:
         min_dist=cfg.mining.inner_neg_dist[0],
         seed=cfg.mining.seed,
     )
-    embedder, trace = train_linear_embedder(
-        samples,
-        dim=cfg.embedder.dim,
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        seed=cfg.seed,
-    )
+    try:
+        embedder, trace = train_linear_embedder(
+            samples,
+            dim=cfg.embedder.dim,
+            epochs=args.epochs,
+            learning_rate=args.learning_rate,
+            seed=cfg.seed,
+        )
+    except ValidationError as exc:
+        raise ConfigurationError(f"bad training values: {exc}") from exc
     np.savez(
         os.path.join(args.out, "embedder.npz"),
         weights=embedder.weights,

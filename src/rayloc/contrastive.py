@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -376,12 +377,15 @@ class LinearEmbedder:
 @dataclass(frozen=True)
 class TrainingSample:
     """One anchor for embedder training: a frozen visual-side embedding plus
-    the feature vectors of its positive and negative crops."""
+    the feature vectors of its positive and negative crops. peer_indices name
+    samples whose positive_features are extra position negatives, after the
+    mined ones; they index the list that is trained on."""
 
     anchor_embedding: np.ndarray  # (E,) unit-norm, frozen
     positive_features: np.ndarray  # (F,)
     position_negative_features: np.ndarray  # (Mp, F)
     orientation_negative_features: np.ndarray  # (Ma, F)
+    peer_indices: tuple[int, ...] = ()
 
 
 def build_training_samples(
@@ -393,19 +397,21 @@ def build_training_samples(
     samples = []
     for sample, emb in zip(mined, anchor_embeddings):
         positive = crop_features(sample.positive)
-        position_negatives, orientation_negatives = (
+        negatives = (  # position, then orientation negatives
             np.reshape([crop_features(c) for c in crops], (-1, positive.size))
             for crops in (sample.position_negatives, sample.orientation_negatives)
         )
-        samples.append(
-            TrainingSample(
-                anchor_embedding=np.asarray(emb, dtype=float),
-                positive_features=positive,
-                position_negative_features=position_negatives,
-                orientation_negative_features=orientation_negatives,
-            )
-        )
+        samples.append(TrainingSample(np.asarray(emb, dtype=float), positive, *negatives))
     return samples
+
+
+def _indices(values, n: int, what: str) -> list[int]:
+    """values, each an int in [0, n): a negative index would wrap, a float truncate."""
+    values = list(values)
+    for v in values:
+        if not (isinstance(v, numbers.Integral) and 0 <= v < n):
+            raise ValidationError(f"{what} {v!r} is not an index in [0, {n})")
+    return values
 
 
 def add_peer_negatives(
@@ -416,19 +422,23 @@ def add_peer_negatives(
     seed: int = 0,
     pool: list[int] | None = None,
 ) -> list[TrainingSample]:
-    """Append other anchors' positive crops as extra position negatives.
+    """Give each sample other anchors' positive crops as extra position
+    negatives, recorded by index in ``peer_indices``; no feature row is copied.
 
     Mined negatives are a sparse sample of crop space; reusing peers'
     positives (the in-batch-negative idiom) exposes each anchor to the same
     crop population it is ranked against at retrieval time. Peers on the same
     floorplan closer than ``min_dist`` to the anchor are excluded so that
     near-duplicates of the positive are never pushed away. ``pool`` restricts
-    eligible peers (e.g. to the training split). Deterministic per anchor."""
+    eligible peers, each an index into ``samples``; a caller that trains on a
+    prefix of the samples must keep the peers in it (e.g. ``pool=range(n_train)``).
+    Deterministic per anchor."""
     if len(samples) != len(dataset):
         raise ValidationError("samples and dataset must be aligned")
     if n_peers < 1:
         return list(samples)
-    candidates = np.arange(len(samples)) if pool is None else np.array(list(pool), dtype=int)
+    pool = range(len(samples)) if pool is None else pool
+    candidates = np.array(_indices(pool, len(samples), "pool entry"), dtype=int)
     plan_ids = {}  # floorplans compare by identity, as in mine_samples
     plan_of = np.array([plan_ids.setdefault(id(plan), len(plan_ids)) for plan, _ in dataset])
     xy = np.array([(gt.x, gt.y) for _, gt in dataset]).reshape(-1, 2)
@@ -449,19 +459,7 @@ def add_peer_negatives(
             )
         rng = np.random.default_rng(np.random.SeedSequence([seed, j]))
         peers = rng.choice(len(eligible), size=n_peers, replace=False)
-        extra = np.stack([samples[eligible[k]].positive_features for k in peers])
-        out.append(
-            TrainingSample(
-                anchor_embedding=s.anchor_embedding,
-                positive_features=s.positive_features,
-                position_negative_features=np.vstack(
-                    [s.position_negative_features, extra]
-                )
-                if s.position_negative_features.size
-                else extra,
-                orientation_negative_features=s.orientation_negative_features,
-            )
-        )
+        out.append(replace(s, peer_indices=s.peer_indices + tuple(eligible[peers].tolist())))
     return out
 
 
@@ -477,6 +475,7 @@ def train_linear_embedder(
     """Full-batch gradient descent of the contrastive loss over a linear
     crop embedder; the visual-side (anchor) embeddings stay frozen.
 
+    Each sample's peer_indices index ``samples``, the list trained on.
     Returns the trained embedder and the per-epoch mean loss trace.
     Deterministic given the seed.
     """
@@ -484,13 +483,19 @@ def train_linear_embedder(
         raise ValidationError("sample set must be nonempty")
     if dim < 2:
         raise ValidationError("embedding dimension must be >= 2")
-    for s in samples:
-        if s.position_negative_features.shape[0] + s.orientation_negative_features.shape[0] == 0:
-            raise ConfigurationError("every anchor needs at least one negative")
+    if epochs < 1:
+        raise ValidationError(f"epochs must be >= 1, got {epochs}")
+    for name, value in (("learning_rate", learning_rate), ("tau", tau)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"{name} must be finite and > 0, got {value}")
     _check_denominator(denominator)
 
     n_features = samples[0].positive_features.size
     for s in samples:
+        _indices(s.peer_indices, len(samples), "peer index")
+        n_mined = len(s.position_negative_features) + len(s.orientation_negative_features)
+        if n_mined + len(s.peer_indices) == 0:
+            raise ConfigurationError("every anchor needs at least one negative")
         if (
             s.positive_features.shape != (n_features,)
             or s.position_negative_features.shape[1:] != (n_features,)
@@ -514,42 +519,41 @@ def _train_batched(
     tau: float,
     denominator: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized full-batch descent. Crop order per sample: positive, then
-    position negatives, then orientation negatives. Each distinct crop (a peer
-    negative repeats another sample's positive) is embedded once per epoch, over
-    the feature columns that are non-zero in some crop; the other columns get an
-    exactly zero gradient and keep their weights. Samples with fewer crops are
-    padded to the largest count with -inf logits, which have a zero gradient."""
+    """Vectorized full-batch descent. Crop order per sample: positive, mined
+    position negatives, peers' positives, then orientation negatives. The rows
+    of x are every sample's positive, then every sample's mined crops, so a
+    peer's slot reads the row of its positive rather than a copy of it. Crops
+    are embedded over the feature columns that are non-zero in some crop; the
+    other columns get an exactly zero gradient and keep their weights. Samples
+    with fewer crops are padded to the largest count with -inf logits, which
+    have a zero gradient."""
     from scipy.sparse import csr_array  # imported here: `rayloc localize` never needs it
 
     n = len(samples)
-    families = [
-        (
-            s.positive_features[None, :],
-            s.position_negative_features,
-            s.orientation_negative_features,
-        )
-        for s in samples
+    blocks = [s.positive_features[None, :] for s in samples] + [
+        f for s in samples for f in (s.position_negative_features, s.orientation_negative_features)
     ]
-    live = np.flatnonzero(np.any([f.any(axis=0) for family in families for f in family], axis=0))
+    live = np.flatnonzero(np.any([f.any(axis=0) for f in blocks], axis=0))
+    bounds = np.cumsum([0] + [len(f) for f in blocks])
+    x = np.empty((bounds[-1], live.size))
+    for f, lo, hi in zip(blocks, bounds, bounds[1:]):
+        x[lo:hi] = f[:, live]  # no full-width copy is made
 
-    distinct = {}  # exact bytes of a crop's live features -> its row in x
     slot_rows = []  # (R,) row of x for each sample's crops, sample by sample
-    counts = np.empty(n, dtype=int)
-    for i, family in enumerate(families):
-        block = np.asarray(np.vstack(family)[:, live], dtype=float)
-        counts[i] = len(block)
-        for row in block:
-            slot_rows.append(distinct.setdefault(row.tobytes(), len(distinct)))
-    x = np.frombuffer(b"".join(distinct), dtype=float).reshape(len(distinct), live.size)
+    indptr = [0]
+    for i, s in enumerate(samples):
+        pos_start, ori_start, ori_end = bounds[n + 2 * i : n + 2 * i + 3]  # its mined rows
+        slot_rows += [i, *range(pos_start, ori_start), *s.peer_indices, *range(ori_start, ori_end)]
+        indptr.append(len(slot_rows))
     slot_rows = np.array(slot_rows)
+    counts = np.diff(indptr)
 
     valid = np.arange(counts.max())[None, :] < counts[:, None]  # (S, C)
+    padded_rows = np.zeros(valid.shape, dtype=int)  # a padded slot reads row 0
+    padded_rows[valid] = slot_rows
     anchors = np.stack([s.anchor_embedding for s in samples])  # (S, E)
-    slot_anchors = np.repeat(anchors, counts, axis=0)  # (R, E)
     # (S, U): sample i's slot gradients in the columns of its crops' rows. Its
     # transpose sums them onto each row, also where a row repeats in a sample
-    indptr = np.concatenate([[0], np.cumsum(counts)])
     scatter = csr_array((np.zeros(len(slot_rows)), slot_rows, indptr), shape=(n, len(x)))
 
     w = weights[:, live]
@@ -559,9 +563,9 @@ def _train_batched(
         norms = np.linalg.norm(u, axis=1)
         if np.any(norms < 1e-12):
             raise TrainingFailureError(epoch, "degenerate embedding during training")
-        g = u / norms[:, None]
-        sims = np.full(valid.shape, -np.inf)
-        sims[valid] = np.einsum("ke,ke->k", g[slot_rows], slot_anchors) / tau
+        g = np.divide(u, norms[:, None], out=u)  # in place: u is not needed again
+        sims = np.einsum("sce,se->sc", g[padded_rows], anchors) / tau
+        sims[~valid] = -np.inf
         losses, d_sims = _nce_kernel(sims, denominator)
         mean_loss = float(losses.mean())
         if not math.isfinite(mean_loss):
@@ -572,7 +576,7 @@ def _train_batched(
         d_g = scatter.T @ anchors  # (U, E)
         # backprop through the unit normalization
         inner = np.einsum("ke,ke->k", g, d_g)
-        d_u = (d_g - g * inner[:, None]) / norms[:, None]
+        d_u = np.divide(d_g - g * inner[:, None], norms[:, None], out=d_g)
         w = w - learning_rate * (d_u.T @ x) / n
     weights = weights.copy()
     weights[:, live] = w
@@ -597,16 +601,9 @@ def read_embeddings(path: str) -> np.ndarray:
 def write_sample_manifest(path: str, records: list[dict]) -> None:
     """JSON lines, one record per anchor with crop file paths and roles."""
     with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
+        fh.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
 
 
 def read_sample_manifest(path: str) -> list[dict]:
-    records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+        return [json.loads(line) for line in fh if line.strip()]

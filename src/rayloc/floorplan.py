@@ -33,7 +33,7 @@ DEFAULT_MAX_RANGE = 10.0  # meters; indoor scale
 DEFAULT_N_RAYS = 40
 DEFAULT_FOV = math.radians(108.0)  # horizontal field of view
 
-WALL_THRESHOLD = 128  # graymap pixel < 128 => wall
+WALL_THRESHOLD = 128  # a pixel below 128 on the 0-255 scale is a wall
 
 # cell codes of the padded grid that cast_rays walks
 _FREE, _WALL, _OUTSIDE = 0, 1, 2
@@ -496,8 +496,8 @@ def march_ray(
 # ---------------------------------------------------------------------------
 
 
-def read_pgm(path: str) -> np.ndarray:
-    """Read a binary (P5) or ASCII (P2) portable graymap as uint8."""
+def read_pgm(path: str) -> tuple[np.ndarray, int]:
+    """Read a binary (P5) or ASCII (P2) portable graymap: raw uint8 values and maxval."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -550,8 +550,10 @@ def read_pgm(path: str) -> np.ndarray:
             raise FormatError(f"{path}: malformed P2 raster") from exc
         if len(values) < width * height:
             raise FormatError(f"{path}: truncated P2 raster")
-        arr = np.asarray(values[: width * height], dtype=np.uint8)
-    return arr.reshape(height, width).copy()
+        arr = np.asarray(values[: width * height])
+    if arr.min() < 0 or arr.max() > maxval:
+        raise FormatError(f"{path}: graymap values must lie in [0, maxval {maxval}]")
+    return arr.reshape(height, width).astype(np.uint8), maxval
 
 
 def write_pgm(path: str, values: np.ndarray) -> None:
@@ -600,9 +602,9 @@ def load_floorplan(path: str) -> FloorPlan:
 
     Metadata keys: resolution_m (number), origin_m ([x, y]),
     texture_path (optional string, relative to the map file). Unknown keys
-    are ignored. Pixel value < 128 means wall.
+    are ignored. A pixel is a wall when value * 255 < 128 * maxval.
     """
-    pixels = read_pgm(path)
+    pixels, maxval = read_pgm(path)
     meta_path = _metadata_path(path)
     try:
         with open(meta_path, "r", encoding="utf-8") as fh:
@@ -634,13 +636,13 @@ def load_floorplan(path: str) -> FloorPlan:
         raise FormatError(f"{meta_path}: texture_path must be a string")
     if tex_path:
         full = os.path.join(os.path.dirname(os.path.abspath(path)), tex_path)
-        texture = read_pgm(full)
+        texture, _ = read_pgm(full)
         if texture.shape != pixels.shape:
             raise ValidationError(
                 f"texture {tex_path} dimensions {texture.shape} do not match "
                 f"map {pixels.shape}"
             )
-    occupancy = pixels < WALL_THRESHOLD
+    occupancy = pixels.astype(np.int32) * 255 < WALL_THRESHOLD * maxval
     return FloorPlan(
         occupancy=occupancy, resolution=resolution, origin=origin, texture=texture
     )

@@ -834,6 +834,26 @@ class TestCliInputErrors:
         assert error["type"] == "ConfigurationError"
         assert "world seed 1" in error["message"]
 
+    def test_bad_training_values_are_config_errors(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bench": {"n_anchors": 4, "n_worlds": 2}}))
+        train = ["train-embedder", "--config", str(cfg)]
+        good = tmp_path / "good"
+        assert main([*train, "--epochs", "2", "--out", str(good)]) == 0
+        assert (good / "embedder.npz").exists()
+        for name, argv in [
+            ("epochs", ["--epochs", "-1"]),
+            ("epochs", ["--epochs", "0"]),
+            ("learning_rate", ["--learning-rate", "nan", "--epochs", "1"]),
+            ("learning_rate", ["--learning-rate", "-0.5", "--epochs", "1"]),
+        ]:
+            out = tmp_path / f"o{len(list(tmp_path.iterdir()))}"
+            assert main([*train, *argv, "--out", str(out)]) == EXIT_CONFIG
+            error = _error(out)
+            assert error["type"] == "ConfigurationError"
+            assert name in error["message"]
+            assert not (out / "embedder.npz").exists()
+
     def test_depth_beyond_range_is_runtime_error(
         self, generated_world, small_config_path, simulated, tmp_path, monkeypatch
     ):

@@ -541,23 +541,29 @@ def _ragged_samples(n_feats=10, dim=6, seed=4):
 
 def _per_sample_reference(samples, weights, epochs, learning_rate, tau, denominator):
     """Full-batch descent one sample at a time from the reference loss and
-    gradient, backpropagated through each crop's unit normalisation."""
+    gradient, backpropagated through each crop's unit normalisation. Each
+    peer index is expanded into a copy of that sample's positive, placed
+    after the mined position negatives."""
     trace = np.empty(epochs)
     for epoch in range(epochs):
         loss = 0.0
         grad_w = np.zeros_like(weights)
         for s in samples:
+            position_negatives = np.vstack(
+                [s.position_negative_features]
+                + [samples[k].positive_features for k in s.peer_indices]
+            )
             feats = np.vstack(
                 [
                     s.positive_features[None, :],
-                    s.position_negative_features,
+                    position_negatives,
                     s.orientation_negative_features,
                 ]
             )
             u = feats @ weights.T
             norms = np.linalg.norm(u, axis=1, keepdims=True)
             g = u / norms
-            split = 1 + s.position_negative_features.shape[0]
+            split = 1 + position_negatives.shape[0]
             args = (s.anchor_embedding[None, :], g[:1], g[1:split], g[split:])
             loss += _reference_nce_loss(*args, [(0, 0)], tau, denominator)
             grads = _reference_nce_grad(*args, [(0, 0)], tau, denominator)
@@ -606,9 +612,9 @@ class TestTraining:
     def test_shared_rows_and_dead_columns_match_per_sample(
         self, seed, n_samples, n_feats, n_dead, denom
     ):
-        # peers' positives reappear as position negatives, an orientation
-        # negative may repeat within a sample, and some feature columns are
-        # zero in every crop
+        # peers' positives reappear as position negatives, both as copied
+        # rows and by index, an orientation negative may repeat within a
+        # sample, and some feature columns are zero in every crop
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 6))
         dead = rng.permutation(n_feats)[: min(n_dead, n_feats - 1)]
@@ -618,15 +624,18 @@ class TestTraining:
         samples = []
         for i in range(n_samples):
             mined = pool[rng.integers(len(pool), size=int(rng.integers(0, 4)))]
-            peers = positives[rng.integers(n_samples, size=int(rng.integers(0, 4)))]
-            n_ori = int(rng.integers(0, 3)) if len(mined) + len(peers) else int(rng.integers(1, 3))
+            copies = positives[rng.integers(n_samples, size=int(rng.integers(0, 4)))]
+            peers = tuple(rng.integers(n_samples, size=int(rng.integers(0, 4))).tolist())
+            n_negatives = len(mined) + len(copies) + len(peers)
+            n_ori = int(rng.integers(0, 3)) if n_negatives else int(rng.integers(1, 3))
             ori = pool[rng.integers(len(pool))]
             samples.append(
                 TrainingSample(
                     anchor_embedding=_unit(rng, 1, dim)[0],
                     positive_features=positives[i],
-                    position_negative_features=np.vstack([mined, peers]),
+                    position_negative_features=np.vstack([mined, copies]),
                     orientation_negative_features=np.repeat(ori[None], n_ori, axis=0),
+                    peer_indices=peers,
                 )
             )
         # a step small enough that no weight grows large, so that 1e-12 is a
@@ -720,6 +729,39 @@ class TestTraining:
         with pytest.raises(ConfigurationError):
             train_linear_embedder(no_neg, dim=6)
 
+    def test_peers_count_as_negatives_and_must_be_in_range(self):
+        samples = [
+            replace(s, position_negative_features=np.zeros((0, 10)), peer_indices=((i + 1) % 3,))
+            for i, s in enumerate(_toy_samples(n=3))
+        ]
+        _, trace = train_linear_embedder(samples, dim=6, epochs=3)
+        assert np.all(np.isfinite(trace))
+        # a peer outside the trained list, as when a prefix is trained on
+        # without restricting the peers to it
+        for bad in (3, -1, 0.5):
+            broken = samples[:2] + [replace(samples[2], peer_indices=(bad,))]
+            with pytest.raises(ValidationError, match="peer index"):
+                train_linear_embedder(broken, dim=6, epochs=3)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(epochs=0),
+            dict(epochs=-1),
+            dict(learning_rate=math.nan),
+            dict(learning_rate=math.inf),
+            dict(learning_rate=0.0),
+            dict(learning_rate=-0.5),
+            dict(tau=math.nan),
+            dict(tau=math.inf),
+            dict(tau=0.0),
+            dict(tau=-0.07),
+        ],
+    )
+    def test_bad_schedule_rejected(self, bad):
+        with pytest.raises(ValidationError, match=next(iter(bad))):
+            train_linear_embedder(_toy_samples(n=2), dim=6, **bad)
+
 
 class TestBuildTrainingSamples:
     def test_alignment_required(self, mining_world):
@@ -752,11 +794,44 @@ class TestPeerNegatives:
         samples = build_training_samples(mined, np.eye(len(mined), 8))
         out = add_peer_negatives(samples, mining_world, n_peers=4, min_dist=1.5, seed=1)
         assert len(out) == len(samples)
+        for j, (before, after) in enumerate(zip(samples, out)):
+            assert len(after.peer_indices) == len(before.peer_indices) + 4
+            plan, gt = mining_world[j]
+            for k in after.peer_indices:
+                peer_plan, peer = mining_world[k]
+                assert k != j
+                assert peer_plan is not plan or math.hypot(peer.x - gt.x, peer.y - gt.y) >= 1.5
+        # a second call appends to the peers already recorded
+        again = add_peer_negatives(out, mining_world, n_peers=2, min_dist=1.5, seed=2)
+        assert [s.peer_indices[:4] for s in again] == [s.peer_indices for s in out]
+        assert all(len(s.peer_indices) == 6 for s in again)
+
+    def test_reuses_feature_arrays(self, mining_world):
+        # peers are recorded by index: every feature array is the input's own
+        spec = MiningSpec(n_inner=1, n_cross=1, n_ori=1, seed=0)
+        crop = CropSpec(side_m=3.0, out_px=15)
+        mined = [mine_samples(mining_world, j, PerturbSpec(), spec, crop) for j in range(4)]
+        samples = build_training_samples(mined, np.eye(4, 8))
+        out = add_peer_negatives(samples, mining_world[:4], n_peers=1, min_dist=0.0, seed=0)
         for before, after in zip(samples, out):
-            assert (
-                after.position_negative_features.shape[0]
-                == before.position_negative_features.shape[0] + 4
-            )
+            for name in (
+                "anchor_embedding",
+                "positive_features",
+                "position_negative_features",
+                "orientation_negative_features",
+            ):
+                assert getattr(after, name) is getattr(before, name)
+
+    @pytest.mark.parametrize("pool", [[-1], [5], [0.5], [0, 1.0]])
+    def test_pool_entries_must_be_indices(self, mining_world, pool):
+        # -1 would wrap to the last anchor, which could then draw its own
+        # positive; 5 is past the end and 0.5 would be truncated to 0
+        spec = MiningSpec(n_inner=1, n_cross=1, n_ori=1, seed=0)
+        crop = CropSpec(side_m=3.0, out_px=15)
+        mined = [mine_samples(mining_world, j, PerturbSpec(), spec, crop) for j in range(3)]
+        samples = build_training_samples(mined, np.eye(3, 8))
+        with pytest.raises(ValidationError, match="pool entry"):
+            add_peer_negatives(samples, mining_world[:3], n_peers=1, min_dist=0.0, pool=pool)
 
     def test_exhaustion(self, mining_world):
         spec = MiningSpec(n_inner=1, n_cross=1, n_ori=1, seed=0)
@@ -849,7 +924,7 @@ class TestPeerEligibility:
                 add_peer_negatives(samples, dataset, n_peers, min_dist, seed, pool)
             return
         out = add_peer_negatives(samples, dataset, n_peers, min_dist, seed, pool)
-        assert [s.position_negative_features[:, 0].astype(int).tolist() for s in out] == expect
+        assert [list(s.peer_indices) for s in out] == expect
 
 
 class TestFileFormats:

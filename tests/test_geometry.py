@@ -386,12 +386,14 @@ class TestPersistence:
         arr = rng.integers(0, 256, size=(7, 11), dtype=np.uint8)
         path = str(tmp_path / "a.pgm")
         write_pgm(path, arr)
-        assert np.array_equal(read_pgm(path), arr)
+        values, maxval = read_pgm(path)
+        assert np.array_equal(values, arr) and maxval == 255
 
     def test_read_ascii_pgm(self, tmp_path):
         path = tmp_path / "a.pgm"
         path.write_text("P2\n# comment\n3 2\n255\n0 128 255\n10 20 30\n")
-        arr = read_pgm(str(path))
+        arr, maxval = read_pgm(str(path))
+        assert maxval == 255
         assert arr.shape == (2, 3)
         assert arr.tolist() == [[0, 128, 255], [10, 20, 30]]
 
@@ -406,6 +408,16 @@ class TestPersistence:
             read_pgm(str(trunc))
         with pytest.raises(FormatError):
             read_pgm(str(tmp_path / "missing.pgm"))
+        # values outside [0, maxval]; a P2 value past 255 was an OverflowError
+        for name, body in [
+            ("p2_big.pgm", b"P2\n2 1\n255\n0 300\n"),
+            ("p2_negative.pgm", b"P2\n2 1\n255\n-1 0\n"),
+            ("p2_above_maxval.pgm", b"P2\n2 1\n1\n0 5\n"),
+            ("p5_above_maxval.pgm", b"P5\n2 1\n15\n\x00\x10"),
+        ]:
+            (tmp_path / name).write_bytes(body)
+            with pytest.raises(FormatError, match="maxval"):
+                read_pgm(str(tmp_path / name))
 
     def test_floorplan_round_trip(self, textured_box_plan, tmp_path):
         path = str(tmp_path / "map.pgm")
@@ -415,6 +427,25 @@ class TestPersistence:
         assert np.array_equal(loaded.texture, textured_box_plan.texture)
         assert loaded.resolution == textured_box_plan.resolution
         assert loaded.origin == textured_box_plan.origin
+
+    @pytest.mark.parametrize(
+        "maxval,raster,walls",
+        [
+            (1, [[0, 1, 1], [1, 0, 1]], [[1, 0, 0], [0, 1, 0]]),
+            (15, [[0, 7, 8], [15, 3, 12]], [[1, 1, 0], [0, 1, 0]]),
+            (255, [[0, 127, 128], [255, 10, 200]], [[1, 1, 0], [0, 1, 0]]),
+        ],
+    )
+    def test_wall_threshold_scales_with_maxval(self, tmp_path, maxval, raster, walls):
+        # a wall is a value below 128 on the 0-255 scale: value * 255 < 128 * maxval;
+        # texture ids are read as raw values
+        body = "\n".join(" ".join(map(str, row)) for row in raster)
+        for name in ("map.pgm", "tex.pgm"):
+            (tmp_path / name).write_text(f"P2\n3 2\n{maxval}\n{body}\n")
+        (tmp_path / "map.json").write_text('{"resolution_m": 0.1, "texture_path": "tex.pgm"}')
+        plan = load_floorplan(str(tmp_path / "map.pgm"))
+        assert plan.occupancy.astype(int).tolist() == walls
+        assert plan.texture.tolist() == raster
 
     def test_missing_metadata(self, box_plan, tmp_path):
         path = str(tmp_path / "map.pgm")
