@@ -281,7 +281,7 @@ def _inner_negative_pose(
 
 
 def _random_free_pose(rng: np.random.Generator, plan: FloorPlan) -> Pose:
-    free_rc = np.argwhere(~plan.occupancy)
+    free_rc = plan._free_cells
     if free_rc.size == 0:
         raise MiningExhaustedError("floorplan has no free cells")
     r, c = free_rc[rng.integers(free_rc.shape[0])]
@@ -481,10 +481,11 @@ def train_linear_embedder(
     """
     if not samples:
         raise ValidationError("sample set must be nonempty")
-    if dim < 2:
-        raise ValidationError("embedding dimension must be >= 2")
-    if epochs < 1:
-        raise ValidationError(f"epochs must be >= 1, got {epochs}")
+    for name, value, low in (("dim", dim, 2), ("epochs", epochs, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise ValidationError(f"{name} must be >= {low}, got {value}")
     for name, value in (("learning_rate", learning_rate), ("tau", tau)):
         if not (math.isfinite(value) and value > 0):
             raise ValidationError(f"{name} must be finite and > 0, got {value}")

@@ -132,6 +132,13 @@ class FloorPlan:
         cells[1:-1, 1:-1] = self.occupancy
         return np.tile(cells.ravel(), 4), _clearance(cells != _FREE).ravel()
 
+    @functools.cached_property
+    def _free_cells(self) -> np.ndarray:
+        """(row, col) of every free cell in row-major order, read-only."""
+        cells = np.argwhere(~self.occupancy)
+        cells.setflags(write=False)
+        return cells
+
     def is_free(self, x: float, y: float) -> bool:
         row, col = self.world_to_cell(x, y)
         if not (0 <= row < self.height_cells and 0 <= col < self.width_cells):

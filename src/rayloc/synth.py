@@ -100,11 +100,50 @@ def _symmetrize(occ: np.ndarray) -> np.ndarray:
     return occ | occ[::-1, ::-1]
 
 
-def _check_connected(occ: np.ndarray, layout: str) -> None:
-    from scipy import ndimage  # imported here: `rayloc localize` never needs it
+def _dilate_square(occ: np.ndarray, radius: int) -> np.ndarray:
+    """Binary dilation by a (2 radius + 1)-cell square; cells outside the map
+    count as free. Separable: a running-sum window along each axis in turn."""
 
-    free = ~occ
-    _, count = ndimage.label(free)
+    def along_rows(grid: np.ndarray) -> np.ndarray:
+        n = grid.shape[1]
+        sums = np.zeros((grid.shape[0], n + 1), dtype=np.int64)
+        np.cumsum(grid, axis=1, out=sums[:, 1:])
+        cols = np.arange(n)
+        return sums[:, np.minimum(cols + radius + 1, n)] > sums[:, np.maximum(cols - radius, 0)]
+
+    return along_rows(along_rows(occ).T).T
+
+
+def _count_components(free: np.ndarray) -> int:
+    """Number of 4-connected components of the True cells: label each row's
+    runs of True, then join the runs that touch vertically."""
+    starts = free.copy()
+    starts[:, 1:] &= ~free[:, :-1]  # a run starts at each row's first column
+    run = np.cumsum(starts).reshape(free.shape) - 1
+    touch = free[:-1] & free[1:]
+    upper, lower = run[:-1][touch], run[1:][touch]
+    # a pair's contacts are adjacent in row-major order: keep the first
+    first = np.ones(upper.size, dtype=bool)
+    first[1:] = (upper[1:] != upper[:-1]) | (lower[1:] != lower[:-1])
+    parent = list(range(int(starts.sum())))
+
+    def root(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]  # path halving
+            a = parent[a]
+        return a
+
+    count = len(parent)
+    for a, b in zip(upper[first].tolist(), lower[first].tolist()):
+        a, b = root(a), root(b)
+        if a != b:
+            parent[a] = b
+            count -= 1
+    return count
+
+
+def _check_connected(occ: np.ndarray, layout: str) -> None:
+    count = _count_components(~occ)
     if count != 1:
         raise ConfigurationError(
             f"{layout}: generated free space is not connected ({count} components)"
@@ -329,12 +368,8 @@ def valid_gt_poses(
 ) -> list[Pose]:
     """Cell-center poses at least clearance_m from any wall, in textured free
     space, each with a seeded heading on an orientation-bin center."""
-    from scipy import ndimage  # imported here: `rayloc localize` never needs it
-
     radius = max(1, int(math.ceil(clearance_m / plan.resolution)))
-    footprint = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
-    blocked = ndimage.binary_dilation(plan.occupancy, structure=footprint)
-    ok = ~blocked
+    ok = ~_dilate_square(plan.occupancy, radius)
     if plan.texture is not None:
         ok &= plan.texture > 0
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6A5E5]))

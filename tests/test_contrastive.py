@@ -18,6 +18,7 @@ from rayloc.contrastive import (
     _nce_grad_raw,
     _nce_loss_raw,
     TrainingSample,
+    _random_free_pose,
     _train_batched,
     add_peer_negatives,
     build_training_samples,
@@ -387,6 +388,21 @@ class TestMining:
         for ca, cb in zip(a.position_negatives, b.position_negatives):
             assert np.array_equal(ca.pixels, cb.pixels)
         assert a.cross_plan_indices == b.cross_plan_indices
+
+    def test_random_free_pose_reads_cached_free_cells(self, mining_world):
+        plan = mining_world[0][0]
+        cells = plan._free_cells
+        assert cells is plan._free_cells and not cells.flags.writeable
+        assert np.array_equal(cells, np.argwhere(~plan.occupancy))
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(20):
+            pose = _random_free_pose(rng, plan)
+            # the reference rescans the grid on every draw
+            free_rc = np.argwhere(~plan.occupancy)
+            r, c = free_rc[ref_rng.integers(free_rc.shape[0])]
+            x, y = plan.cell_center(int(r), int(c))
+            theta = ref_rng.uniform(0.0, 2 * math.pi)
+            assert (pose.x, pose.y, pose.theta) == (x, y, theta)
 
     def test_positive_within_perturbation_bounds(self, mining_world):
         perturb = PerturbSpec(pos_b=0.4, ang_b=0.2)
@@ -761,6 +777,17 @@ class TestTraining:
     def test_bad_schedule_rejected(self, bad):
         with pytest.raises(ValidationError, match=next(iter(bad))):
             train_linear_embedder(_toy_samples(n=2), dim=6, **bad)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("seed", -1), ("seed", 2.5), ("seed", True), ("dim", 2.5), ("dim", True),
+         ("epochs", 2.5), ("epochs", True)],
+    )
+    def test_bad_integer_arguments_rejected(self, name, value):
+        kwargs = {"dim": 6, "epochs": 2, name: value}
+        message = f"{name} must be >= 0" if value == -1 else f"{name} must be an integer"
+        with pytest.raises(ValidationError, match=message):
+            train_linear_embedder(_toy_samples(n=2), **kwargs)
 
 
 class TestBuildTrainingSamples:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rayloc import crops, scoring
+from rayloc.bench import rotated_twin_pose
 from rayloc.crops import CropSpec, extract_crop
 from rayloc.disambig import DisambigConfig, localize
 from rayloc.errors import EmptyDomainError, FormatError, ValidationError
@@ -28,7 +29,7 @@ from rayloc.scoring import (
     top_x,
     write_probmap,
 )
-from rayloc.synth import RandomProjectionEmbedder, WorldSpec, generate_world
+from rayloc.synth import RandomProjectionEmbedder, WorldSpec, _symmetrize, generate_world
 
 
 def _uniform_probmap(rows=2, cols=3, n_ori=4):
@@ -441,6 +442,38 @@ class TestIntegerScoring:
         assert scorer.table.dtype == np.int32
         pmap = scorer.score(np.full(4, MAX_TABLE_RANGE))  # the largest depth still fits
         assert np.isfinite(pmap.values).all()
+
+
+class TestTwinTies:
+    @settings(max_examples=12)
+    @given(
+        extent=st.sampled_from([(4.0, 3.0), (5.0, 4.0), (3.3, 6.1)]),
+        seed=st.integers(0, 2**16),
+        pick=st.integers(0, 2**16),
+        noise_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_symmetrized_random_partition_twins_tie(self, extent, seed, pick, noise_seed):
+        # every grid pose and its rotated twin score bit-for-bit alike
+        world, _ = generate_world(WorldSpec(layout="random-partition", extent=extent, seed=seed))
+        plan = FloorPlan(occupancy=_symmetrize(world.occupancy), resolution=world.resolution)
+        grid = PoseGridSpec(cell_stride=plan.resolution, n_orientations=8)
+        scorer = GridScorer(plan, grid, n_rays=16)
+        r, c = scorer.free_rc[pick % scorer.n_free]
+        ys, xs = grid.cell_centers(plan)
+        fan = render_gt_rays(plan, Pose(xs[c], ys[r], grid.orientation_centers()[pick % 8]), n_rays=16)
+        noise = np.random.default_rng(noise_seed).normal(0.0, 0.05, 16)
+        pmap = scorer.score(np.clip(fan.depths + noise, 0.0, scorer.max_range))
+
+        values = pmap.values
+        step = 2 * math.pi / grid.n_orientations
+        for flat in np.flatnonzero(np.repeat(scorer.mask.ravel(), grid.n_orientations)):
+            twin = rotated_twin_pose(plan, pmap.pose_of_flat_index(flat))
+            index = (
+                round(twin.y / grid.cell_stride - 0.5),
+                round(twin.x / grid.cell_stride - 0.5),
+                round(twin.theta / step) % grid.n_orientations,
+            )
+            assert values.flat[flat].tobytes() == values[index].tobytes()
 
 
 REFERENCE_BLOCK_CELLS = 64  # free cells per block of the reference error sum

@@ -46,14 +46,33 @@ def test_demo_imports_resolve(demo):
         assert not name or hasattr(mod, name), f"{demo.name}: {module}.{name} is gone"
 
 
+_NO_SCIPY_PROBE = """
+import sys
+import rayloc.cli
+from rayloc.contrastive import MiningSpec, PerturbSpec, mine_samples
+from rayloc.crops import CropSpec
+from rayloc.synth import WorldSpec, generate_world, simulate_observation, valid_gt_poses
+
+dataset = []
+for layout, extent in (("twin-rooms", (12.0, 6.0)), ("corridor-of-3", (12.0, 6.0)),
+                       ("random-partition", (12.0, 6.0))):
+    plan, poses = generate_world(WorldSpec(layout=layout, extent=extent, seed=1))
+    assert valid_gt_poses(plan, seed=2)
+    simulate_observation(plan, poses[0], seed=3)
+    dataset.append((plan, poses[0]))
+mine_samples(dataset, 0, PerturbSpec(), MiningSpec(n_inner=1, n_cross=1, n_ori=1), CropSpec())
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
 def test_cli_starts_without_scipy():
-    # SciPy's import is a large share of a `rayloc localize` process's start-up,
-    # and localize never uses it; only world generation imports it, on demand
+    # SciPy's import is a large share of a process's start-up and memory;
+    # only `train-embedder` needs it, so the CLI, world generation,
+    # observation simulation and mining must run without importing it
     src = str(Path(rayloc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, rayloc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", _NO_SCIPY_PROBE], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"

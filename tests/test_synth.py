@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from rayloc.crops import CropSpec, extract_crop
 from rayloc.errors import ConfigurationError, ValidationError
@@ -15,6 +18,9 @@ from rayloc.synth import (
     ObservationSignature,
     RandomProjectionEmbedder,
     WorldSpec,
+    _check_connected,
+    _count_components,
+    _dilate_square,
     generate_world,
     relabel_texture,
     simulate_observation,
@@ -109,6 +115,80 @@ class TestGenerateWorld:
     def test_texture_policy_none(self):
         plan, poses = generate_world(WorldSpec(texture_policy="none", seed=0))
         assert plan.texture is None
+
+
+def _grid(height, width, density, seed):
+    """A seeded random wall grid; density 0 is all free, 1 all wall."""
+    return np.random.default_rng(seed).random((height, width)) < density
+
+
+_grid_args = dict(
+    height=st.integers(1, 24),
+    width=st.integers(1, 24),
+    density=st.sampled_from([0.0, 0.05, 0.3, 0.5, 0.8, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestMorphologyOracles:
+    """The NumPy dilation and component count against scipy.ndimage."""
+
+    @given(radius=st.integers(1, 30), **_grid_args)  # past the map size
+    @example(radius=3, height=1, width=17, density=0.1, seed=1)
+    @example(radius=3, height=17, width=1, density=0.1, seed=1)
+    @example(radius=2, height=9, width=7, density=1.0, seed=0)
+    @example(radius=2, height=9, width=7, density=0.0, seed=0)
+    @settings(max_examples=300)
+    def test_dilation_matches_ndimage(self, radius, height, width, density, seed):
+        occ = _grid(height, width, density, seed)
+        footprint = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
+        expected = ndimage.binary_dilation(occ, structure=footprint)
+        assert np.array_equal(_dilate_square(occ, radius), expected)
+
+    @given(**_grid_args)
+    @example(height=1, width=17, density=0.5, seed=1)
+    @example(height=17, width=1, density=0.5, seed=1)
+    @example(height=9, width=7, density=1.0, seed=0)
+    @example(height=9, width=7, density=0.0, seed=0)
+    @settings(max_examples=300)
+    def test_component_count_matches_ndimage_label(self, height, width, density, seed):
+        free = ~_grid(height, width, density, seed)
+        assert _count_components(free) == ndimage.label(free)[1]
+
+    def test_diagonal_contact_does_not_connect(self):
+        free = np.array([[True, False], [False, True]])
+        assert _count_components(free) == ndimage.label(free)[1] == 2
+        checkerboard = (np.indices((6, 7)).sum(axis=0) % 2).astype(bool)
+        assert _count_components(checkerboard) == 21
+
+
+class TestCheckConnected:
+    @staticmethod
+    def _walled(walls_at_cols=(), walls_at_rows=()):
+        occ = np.zeros((12, 20), dtype=bool)
+        occ[[0, -1], :] = occ[:, [0, -1]] = True
+        occ[:, list(walls_at_cols)] = True
+        occ[list(walls_at_rows), :] = True
+        return occ
+
+    def test_connected_layout_passes(self):
+        _check_connected(self._walled(), "box")
+
+    @pytest.mark.parametrize(
+        "cols, rows, at_least",
+        [((10,), (), 2), ((6, 13), (), 3), ((6, 13), (5,), 6)],
+    )
+    def test_split_layout_reports_component_count(self, cols, rows, at_least):
+        occ = self._walled(cols, rows)
+        _, count = ndimage.label(~occ)
+        assert count >= at_least
+        with pytest.raises(ConfigurationError, match=rf"box: .* not connected \({count} components\)"):
+            _check_connected(occ, "box")
+
+    def test_generated_layout_can_be_split(self):
+        # at 0.5 m cells the door and the corner baffles close pockets off
+        with pytest.raises(ConfigurationError, match=r"twin-rooms: .* \(5 components\)"):
+            generate_world(WorldSpec(resolution=0.5, seed=3))
 
 
 class TestValidGtPoses:
