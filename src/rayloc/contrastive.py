@@ -506,10 +506,84 @@ def train_linear_embedder(
                 f"every crop needs {n_features} features (positive_features, "
                 "position_negative_features and orientation_negative_features)"
             )
+        anchor = np.asarray(s.anchor_embedding)
+        if anchor.shape != (dim,) or not np.isfinite(anchor).all():
+            raise ValidationError(
+                f"every anchor_embedding must be a finite vector of length dim={dim}, "
+                f"got shape {anchor.shape}"
+            )
     rng = np.random.default_rng(seed)
     weights = rng.normal(scale=1.0 / math.sqrt(n_features), size=(dim, n_features))
     weights, trace = _train_batched(samples, weights, epochs, learning_rate, tau, denominator)
     return LinearEmbedder(weights=weights), trace
+
+
+def _slot_rows(samples: list[TrainingSample]) -> tuple[np.ndarray, np.ndarray]:
+    """The (S, C) row of the training matrix that each sample's crop slots
+    read, padded with row 0, and the mask of real slots. The rows are every
+    sample's positive, then each sample's mined position and orientation
+    negatives; a sample's slots are its positive, mined position negatives,
+    peers' positives, then orientation negatives."""
+    slot_rows, counts = [], []
+    start = len(samples)  # the sample's first mined row
+    for i, s in enumerate(samples):
+        ori_start = start + len(s.position_negative_features)
+        end = ori_start + len(s.orientation_negative_features)
+        rows = [i, *range(start, ori_start), *s.peer_indices, *range(ori_start, end)]
+        slot_rows += rows
+        counts.append(len(rows))
+        start = end
+    valid = np.arange(max(counts))[None, :] < np.array(counts)[:, None]
+    padded_rows = np.zeros(valid.shape, dtype=int)
+    padded_rows[valid] = slot_rows
+    return padded_rows, valid
+
+
+def _slot_backprop(padded_rows: np.ndarray, valid: np.ndarray, anchors: np.ndarray):
+    """The backprop of the slot gather: a function from the (S, C) slot
+    gradients d to each row's d_g[r], the sum of d[s, c] * anchors[s] over
+    the real slots (s, c) that read row r.
+
+    Each row sums its terms sample by sample and slot by slot from zero, as a
+    sparse (rows x samples) matrix product does, with the same bits for
+    anchors of two or more dimensions. A mined row is read by one slot of its
+    own sample, in row order, so its gradient is one product. A positive row
+    is read by its own slot and by peer slots: a padded (S, M) table lists
+    those cells in slot order, and its spare cells read a zero."""
+    n, n_slots = valid.shape
+    cells = np.flatnonzero(valid)  # in the order of padded_rows[valid]
+    rows = padded_rows[valid]
+    mined = rows >= n
+    mined_cells = cells[mined]
+    mined_samples = mined_cells // n_slots
+    rows, cells = rows[~mined], cells[~mined]
+    reads = np.bincount(rows, minlength=n)
+    read = np.arange(reads.max())[None, :] < reads[:, None]  # (S, M)
+    table = np.full(read.shape, valid.size)  # a spare cell reads the appended zero
+    table[read] = cells[np.argsort(rows, kind="stable")]  # slot order within a row
+    table_samples = np.where(read, table // n_slots, 0)
+    # positive rows go in blocks of about 1 MB of gathered anchors, sorted by
+    # read count so that each block's table is cut to its widest row
+    per_block = max(1, 2**17 // (read.shape[1] * anchors.shape[1]))
+    by_reads = np.argsort(reads, kind="stable")
+    blocks = []
+    for lo in range(0, n, per_block):
+        rows_b = by_reads[lo : lo + per_block]
+        width = reads[rows_b[-1]]
+        blocks.append((rows_b, table[rows_b, :width], table_samples[rows_b, :width]))
+
+    def backprop(d_slots: np.ndarray) -> np.ndarray:
+        d = np.append(d_slots, 0.0)
+        d_g = np.empty((n + len(mined_cells), anchors.shape[1]))
+        # mode="clip" lets take write straight into d_g; every index is valid
+        mined_g = np.take(anchors, mined_samples, axis=0, out=d_g[n:], mode="clip")
+        np.multiply(mined_g, d[mined_cells, None], out=mined_g)
+        mined_g += 0.0  # as a sum from zero: a zero product is +0.0, never -0.0
+        for rows_b, cells_b, samples_b in blocks:
+            d_g[rows_b] = np.einsum("sm,sme->se", d[cells_b], anchors[samples_b])
+        return d_g
+
+    return backprop
 
 
 def _train_batched(
@@ -520,16 +594,13 @@ def _train_batched(
     tau: float,
     denominator: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized full-batch descent. Crop order per sample: positive, mined
-    position negatives, peers' positives, then orientation negatives. The rows
-    of x are every sample's positive, then every sample's mined crops, so a
-    peer's slot reads the row of its positive rather than a copy of it. Crops
-    are embedded over the feature columns that are non-zero in some crop; the
+    """Vectorized full-batch descent. The rows of x are every sample's
+    positive, then every sample's mined crops (see _slot_rows), so a peer's
+    slot reads the row of its positive rather than a copy of it. Crops are
+    embedded over the feature columns that are non-zero in some crop; the
     other columns get an exactly zero gradient and keep their weights. Samples
     with fewer crops are padded to the largest count with -inf logits, which
     have a zero gradient."""
-    from scipy.sparse import csr_array  # imported here: `rayloc localize` never needs it
-
     n = len(samples)
     blocks = [s.positive_features[None, :] for s in samples] + [
         f for s in samples for f in (s.position_negative_features, s.orientation_negative_features)
@@ -540,22 +611,9 @@ def _train_batched(
     for f, lo, hi in zip(blocks, bounds, bounds[1:]):
         x[lo:hi] = f[:, live]  # no full-width copy is made
 
-    slot_rows = []  # (R,) row of x for each sample's crops, sample by sample
-    indptr = [0]
-    for i, s in enumerate(samples):
-        pos_start, ori_start, ori_end = bounds[n + 2 * i : n + 2 * i + 3]  # its mined rows
-        slot_rows += [i, *range(pos_start, ori_start), *s.peer_indices, *range(ori_start, ori_end)]
-        indptr.append(len(slot_rows))
-    slot_rows = np.array(slot_rows)
-    counts = np.diff(indptr)
-
-    valid = np.arange(counts.max())[None, :] < counts[:, None]  # (S, C)
-    padded_rows = np.zeros(valid.shape, dtype=int)  # a padded slot reads row 0
-    padded_rows[valid] = slot_rows
+    padded_rows, valid = _slot_rows(samples)
     anchors = np.stack([s.anchor_embedding for s in samples])  # (S, E)
-    # (S, U): sample i's slot gradients in the columns of its crops' rows. Its
-    # transpose sums them onto each row, also where a row repeats in a sample
-    scatter = csr_array((np.zeros(len(slot_rows)), slot_rows, indptr), shape=(n, len(x)))
+    backprop = _slot_backprop(padded_rows, valid, anchors)
 
     w = weights[:, live]
     trace = np.empty(epochs)
@@ -573,8 +631,7 @@ def _train_batched(
             raise TrainingFailureError(epoch)
         trace[epoch] = mean_loss
 
-        scatter.data[:] = (d_sims / tau)[valid]
-        d_g = scatter.T @ anchors  # (U, E)
+        d_g = backprop(d_sims / tau)  # (U, E)
         # backprop through the unit normalization
         inner = np.einsum("ke,ke->k", g, d_g)
         d_u = np.divide(d_g - g * inner[:, None], norms[:, None], out=d_g)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from rayloc.contrastive import (
     DENOM_NEGATIVES_ONLY,
@@ -19,6 +20,8 @@ from rayloc.contrastive import (
     _nce_loss_raw,
     TrainingSample,
     _random_free_pose,
+    _slot_backprop,
+    _slot_rows,
     _train_batched,
     add_peer_negatives,
     build_training_samples,
@@ -788,6 +791,70 @@ class TestTraining:
         message = f"{name} must be >= 0" if value == -1 else f"{name} must be an integer"
         with pytest.raises(ValidationError, match=message):
             train_linear_embedder(_toy_samples(n=2), **kwargs)
+
+    @pytest.mark.parametrize("case", ["mixed lengths", "2-D", "dim", "nan", "inf"])
+    def test_bad_anchor_rejected(self, case):
+        # every anchor must be a finite vector of length dim
+        samples, dim = _toy_samples(n=3), 6
+        a = samples[1].anchor_embedding
+        if case == "mixed lengths":
+            samples[1] = replace(samples[1], anchor_embedding=a[:5])
+        elif case == "2-D":
+            samples = [replace(s, anchor_embedding=s.anchor_embedding[None, :]) for s in samples]
+        elif case == "dim":
+            dim = 5
+        else:
+            samples[1] = replace(samples[1], anchor_embedding=np.where(a == a.max(), float(case), a))
+        with pytest.raises(ValidationError, match="anchor_embedding"):
+            train_linear_embedder(samples, dim=dim, epochs=2)
+
+
+def _sparse_scatter(padded_rows, valid, d_slots, anchors):
+    """The reference for _slot_backprop: a (samples x rows) sparse matrix of
+    the real slots' gradients, whose transpose sums them onto each row."""
+    rows = padded_rows[valid]
+    indptr = np.concatenate([[0], np.cumsum(valid.sum(axis=1))])
+    scatter = csr_array((d_slots[valid], rows, indptr), shape=(len(valid), rows.max() + 1))
+    return scatter.T @ anchors
+
+
+class TestSlotBackprop:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_samples=st.integers(1, 8),
+        dim=st.integers(2, 5),
+        max_peers=st.integers(0, 6),
+    )
+    @example(seed=0, n_samples=1, dim=2, max_peers=0)
+    @example(seed=1, n_samples=3, dim=3, max_peers=6)
+    def test_bit_identical_to_sparse_scatter(self, seed, n_samples, dim, max_peers):
+        # samples with no mined crops or no peers, duplicate peers and
+        # self-peers, padded to the largest slot count; the gradients span
+        # twelve orders of magnitude, so that summation order shows. Training
+        # takes dim >= 2: at width 1, einsum sums a row's terms in its own order
+        rng = np.random.default_rng(seed)
+        samples = [
+            TrainingSample(
+                anchor_embedding=np.zeros(dim),
+                positive_features=np.zeros(1),
+                position_negative_features=np.zeros((int(rng.integers(0, 4)), 1)),
+                orientation_negative_features=np.zeros((int(rng.integers(0, 3)), 1)),
+                peer_indices=tuple(
+                    rng.integers(n_samples, size=int(rng.integers(0, max_peers + 1))).tolist()
+                ),
+            )
+            for _ in range(n_samples)
+        ]
+        padded_rows, valid = _slot_rows(samples)
+        anchors = rng.normal(size=(n_samples, dim)) * 10.0 ** rng.integers(-6, 7, size=(n_samples, 1))
+        d_slots = rng.normal(size=valid.shape) * 10.0 ** rng.integers(-6, 7, size=valid.shape)
+        d_slots[rng.random(valid.shape) < 0.1] = 0.0  # as an underflowed softmax weight
+        d_slots[~valid] = np.nan  # a padded slot must never be read
+        got = _slot_backprop(padded_rows, valid, anchors)(d_slots)
+        want = _sparse_scatter(padded_rows, valid, d_slots, anchors)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestBuildTrainingSamples:

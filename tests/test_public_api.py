@@ -48,8 +48,10 @@ def test_demo_imports_resolve(demo):
 
 _NO_SCIPY_PROBE = """
 import sys
+import numpy as np
 import rayloc.cli
-from rayloc.contrastive import MiningSpec, PerturbSpec, mine_samples
+from rayloc.contrastive import (MiningSpec, PerturbSpec, add_peer_negatives,
+                                build_training_samples, mine_samples, train_linear_embedder)
 from rayloc.crops import CropSpec
 from rayloc.synth import WorldSpec, generate_world, simulate_observation, valid_gt_poses
 
@@ -60,15 +62,20 @@ for layout, extent in (("twin-rooms", (12.0, 6.0)), ("corridor-of-3", (12.0, 6.0
     assert valid_gt_poses(plan, seed=2)
     simulate_observation(plan, poses[0], seed=3)
     dataset.append((plan, poses[0]))
-mine_samples(dataset, 0, PerturbSpec(), MiningSpec(n_inner=1, n_cross=1, n_ori=1), CropSpec())
+mining = MiningSpec(n_inner=1, n_cross=1, n_ori=1)
+mined = [mine_samples(dataset, j, PerturbSpec(), mining, CropSpec()) for j in range(3)]
+samples = build_training_samples(mined, np.eye(3, 4))
+samples = add_peer_negatives(samples, dataset, n_peers=1)
+_, trace = train_linear_embedder(samples, dim=4, epochs=3)
+assert np.isfinite(trace).all()
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_cli_starts_without_scipy():
+def test_cli_and_training_run_without_scipy():
     # SciPy's import is a large share of a process's start-up and memory;
-    # only `train-embedder` needs it, so the CLI, world generation,
-    # observation simulation and mining must run without importing it
+    # rayloc needs only NumPy, so the CLI, world generation, observation
+    # simulation, mining and embedder training must run without importing it
     src = str(Path(rayloc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
