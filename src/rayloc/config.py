@@ -18,7 +18,6 @@ from .crops import CropSpec
 from .disambig import DisambigConfig
 from .errors import ConfigurationError, ValidationError
 from .floorplan import DEFAULT_FOV, DEFAULT_MAX_RANGE, DEFAULT_N_RAYS
-from .raybins import BinSpec
 from .scoring import DEFAULT_SIGMA, MAX_TABLE_RANGE, PoseGridSpec
 from .synth import NoiseSpec, WorldSpec
 
@@ -68,8 +67,6 @@ CONVERTERS = {
 
 # dataclass field -> JSON key, where the key carries the field's unit
 KEY_RENAMES = {
-    "d_min": "d_min_m",
-    "d_max": "d_max_m",
     "pos_b": "pos_b_m",
     "ang_b": "ang_b_rad",
     "inner_neg_dist": "inner_neg_dist_m",
@@ -148,7 +145,6 @@ class EmbedderParams:
 @dataclass(frozen=True)
 class RunConfig:
     rays: RayParams = RayParams()
-    bins: BinSpec = BinSpec()
     grid: GridParams = GridParams()
     crop: CropSpec = CropSpec()
     perturb: PerturbSpec = PerturbSpec()

@@ -146,12 +146,14 @@ def _check_denominator(denominator: str) -> None:
         raise ValidationError(f"unknown denominator mode {denominator!r}")
 
 
-def _nce_kernel(logits: np.ndarray, denominator: str) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row loss and its gradient with respect to the (J, 1 + M) logits:
-    column 0 is the positive, the rest are negatives and -inf marks a padded
-    slot. Each row's log-sum-exp is shifted by its maximum, so a small tau
-    cannot overflow."""
+def _slot_nce(rows, anchors, slot_rows, valid, tau: float, denominator: str):
+    """Each sample's loss and its gradient with respect to the similarities
+    rows[slot_rows[s]] . anchors[s] of its (S, C) slots: slot 0 is the
+    positive, the rest are negatives and ~valid marks a padded slot. Each
+    log-sum-exp is shifted by its maximum, so a small tau cannot overflow."""
     _check_denominator(denominator)
+    logits = np.einsum("sce,se->sc", rows[slot_rows], anchors) / tau
+    logits[~valid] = -np.inf
     start = 0 if denominator == DENOM_WITH_POSITIVE else 1
     scored = logits[:, start:]
     m = scored.max(axis=1, keepdims=True)
@@ -159,15 +161,17 @@ def _nce_kernel(logits: np.ndarray, denominator: str) -> tuple[np.ndarray, np.nd
     d_logits = np.zeros_like(logits)
     d_logits[:, start:] = np.exp(scored - log_z[:, None])
     d_logits[:, 0] -= 1.0
-    return -logits[:, 0] + log_z, d_logits
+    return -logits[:, 0] + log_z, d_logits / tau
 
 
-def _pair_logits(anchors, positives, pos_negs, ori_negs, pairs, tau):
-    """One kernel row per pair: anchor . positive, then anchor . each negative."""
+def _pair_slots(positives, pos_negs, ori_negs, pairs):
+    """The batch as slots, one sample per pair p: the rows are the positives,
+    then the shared negatives, and p reads its positive and every negative."""
     j, l = np.asarray(pairs, dtype=int).reshape(-1, 2).T
-    a = anchors[j]
-    s = np.einsum("pe,pe->p", a, positives[l])
-    return j, l, np.hstack([s[:, None], a @ pos_negs.T, a @ ori_negs.T]) / tau
+    rows = np.vstack([positives, pos_negs, ori_negs])
+    negatives = np.arange(len(positives), len(rows))
+    slot_rows = np.column_stack([l, np.broadcast_to(negatives, (len(l), negatives.size))])
+    return j, rows, slot_rows, np.ones(slot_rows.shape, dtype=bool)
 
 
 def _nce_loss_raw(
@@ -181,8 +185,8 @@ def _nce_loss_raw(
 ) -> float:
     """Loss on raw arrays without norm validation (finite differences need to
     evaluate at slightly off-sphere points)."""
-    _, _, logits = _pair_logits(anchors, positives, pos_negs, ori_negs, pairs, tau)
-    return float(_nce_kernel(logits, denominator)[0].sum())
+    j, rows, slot_rows, valid = _pair_slots(positives, pos_negs, ori_negs, pairs)
+    return float(_slot_nce(rows, anchors[j], slot_rows, valid, tau, denominator)[0].sum())
 
 
 def _raw_args(batch: ContrastiveBatch) -> tuple:
@@ -214,19 +218,18 @@ def _nce_grad_raw(
     tau: float,
     denominator: str,
 ) -> dict[str, np.ndarray]:
-    j, l, logits = _pair_logits(anchors, positives, pos_negs, ori_negs, pairs, tau)
-    d = _nce_kernel(logits, denominator)[1] / tau
+    j, rows, slot_rows, valid = _pair_slots(positives, pos_negs, ori_negs, pairs)
     a = anchors[j]
-    d_pn, d_on = d[:, 1 : 1 + len(pos_negs)], d[:, 1 + len(pos_negs) :]
+    d = _slot_nce(rows, a, slot_rows, valid, tau, denominator)[1]
     g_anchor = np.zeros_like(anchors)
-    np.add.at(g_anchor, j, d[:, :1] * positives[l] + d_pn @ pos_negs + d_on @ ori_negs)
-    g_pos = np.zeros_like(positives)
-    np.add.at(g_pos, l, d[:, :1] * a)
+    np.add.at(g_anchor, j, np.einsum("sc,sce->se", d, rows[slot_rows]))
+    g_rows = _slot_backprop(slot_rows, valid, a, len(rows))(d)
+    g_pos, g_pn, g_on = np.split(g_rows, np.cumsum([len(positives), len(pos_negs)]))
     return {
         "anchors": g_anchor,
         "positives": g_pos,
-        "position_negatives": d_pn.T @ a,
-        "orientation_negatives": d_on.T @ a,
+        "position_negatives": g_pn,
+        "orientation_negatives": g_on,
     }
 
 
@@ -539,44 +542,44 @@ def _slot_rows(samples: list[TrainingSample]) -> tuple[np.ndarray, np.ndarray]:
     return padded_rows, valid
 
 
-def _slot_backprop(padded_rows: np.ndarray, valid: np.ndarray, anchors: np.ndarray):
+def _slot_backprop(padded_rows, valid, anchors: np.ndarray, n_shared: int):
     """The backprop of the slot gather: a function from the (S, C) slot
     gradients d to each row's d_g[r], the sum of d[s, c] * anchors[s] over
     the real slots (s, c) that read row r.
 
     Each row sums its terms sample by sample and slot by slot from zero, as a
     sparse (rows x samples) matrix product does, with the same bits for
-    anchors of two or more dimensions. A mined row is read by one slot of its
-    own sample, in row order, so its gradient is one product. A positive row
-    is read by its own slot and by peer slots: a padded (S, M) table lists
-    those cells in slot order, and its spare cells read a zero."""
-    n, n_slots = valid.shape
+    anchors of two or more dimensions. A row from n_shared on (a mined row) is
+    read by one slot, in row order, so its gradient is one product. A shared
+    row may be read by any slots: a padded (n_shared, M) table lists those
+    cells in slot order, and its spare cells read a zero."""
+    n_slots = valid.shape[1]
     cells = np.flatnonzero(valid)  # in the order of padded_rows[valid]
     rows = padded_rows[valid]
-    mined = rows >= n
+    mined = rows >= n_shared
     mined_cells = cells[mined]
     mined_samples = mined_cells // n_slots
     rows, cells = rows[~mined], cells[~mined]
-    reads = np.bincount(rows, minlength=n)
-    read = np.arange(reads.max())[None, :] < reads[:, None]  # (S, M)
+    reads = np.bincount(rows, minlength=n_shared)
+    read = np.arange(reads.max())[None, :] < reads[:, None]  # (n_shared, M)
     table = np.full(read.shape, valid.size)  # a spare cell reads the appended zero
     table[read] = cells[np.argsort(rows, kind="stable")]  # slot order within a row
     table_samples = np.where(read, table // n_slots, 0)
-    # positive rows go in blocks of about 1 MB of gathered anchors, sorted by
+    # shared rows go in blocks of about 1 MB of gathered anchors, sorted by
     # read count so that each block's table is cut to its widest row
-    per_block = max(1, 2**17 // (read.shape[1] * anchors.shape[1]))
+    per_block = max(1, 2**17 // (max(1, read.shape[1]) * anchors.shape[1]))
     by_reads = np.argsort(reads, kind="stable")
     blocks = []
-    for lo in range(0, n, per_block):
+    for lo in range(0, n_shared, per_block):
         rows_b = by_reads[lo : lo + per_block]
         width = reads[rows_b[-1]]
         blocks.append((rows_b, table[rows_b, :width], table_samples[rows_b, :width]))
 
     def backprop(d_slots: np.ndarray) -> np.ndarray:
         d = np.append(d_slots, 0.0)
-        d_g = np.empty((n + len(mined_cells), anchors.shape[1]))
+        d_g = np.empty((n_shared + len(mined_cells), anchors.shape[1]))
         # mode="clip" lets take write straight into d_g; every index is valid
-        mined_g = np.take(anchors, mined_samples, axis=0, out=d_g[n:], mode="clip")
+        mined_g = np.take(anchors, mined_samples, axis=0, out=d_g[n_shared:], mode="clip")
         np.multiply(mined_g, d[mined_cells, None], out=mined_g)
         mined_g += 0.0  # as a sum from zero: a zero product is +0.0, never -0.0
         for rows_b, cells_b, samples_b in blocks:
@@ -613,7 +616,7 @@ def _train_batched(
 
     padded_rows, valid = _slot_rows(samples)
     anchors = np.stack([s.anchor_embedding for s in samples])  # (S, E)
-    backprop = _slot_backprop(padded_rows, valid, anchors)
+    backprop = _slot_backprop(padded_rows, valid, anchors, n)
 
     w = weights[:, live]
     trace = np.empty(epochs)
@@ -623,15 +626,13 @@ def _train_batched(
         if np.any(norms < 1e-12):
             raise TrainingFailureError(epoch, "degenerate embedding during training")
         g = np.divide(u, norms[:, None], out=u)  # in place: u is not needed again
-        sims = np.einsum("sce,se->sc", g[padded_rows], anchors) / tau
-        sims[~valid] = -np.inf
-        losses, d_sims = _nce_kernel(sims, denominator)
+        losses, d_slots = _slot_nce(g, anchors, padded_rows, valid, tau, denominator)
         mean_loss = float(losses.mean())
         if not math.isfinite(mean_loss):
             raise TrainingFailureError(epoch)
         trace[epoch] = mean_loss
 
-        d_g = backprop(d_sims / tau)  # (U, E)
+        d_g = backprop(d_slots)  # (U, E)
         # backprop through the unit normalization
         inner = np.einsum("ke,ke->k", g, d_g)
         d_u = np.divide(d_g - g * inner[:, None], norms[:, None], out=d_g)

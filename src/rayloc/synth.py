@@ -114,9 +114,11 @@ def _dilate_square(occ: np.ndarray, radius: int) -> np.ndarray:
     return along_rows(along_rows(occ).T).T
 
 
-def _count_components(free: np.ndarray) -> int:
-    """Number of 4-connected components of the True cells: label each row's
-    runs of True, then join the runs that touch vertically."""
+def _label_components(free: np.ndarray) -> tuple[np.ndarray, int]:
+    """The 4-connected components of the True cells, labelled 1, 2, ... in
+    the raster order of their first cell as scipy.ndimage.label numbers them
+    (0 on the other cells), and their count: label each row's runs of True,
+    then join the runs that touch vertically."""
     starts = free.copy()
     starts[:, 1:] &= ~free[:, :-1]  # a run starts at each row's first column
     run = np.cumsum(starts).reshape(free.shape) - 1
@@ -133,17 +135,20 @@ def _count_components(free: np.ndarray) -> int:
             a = parent[a]
         return a
 
-    count = len(parent)
     for a, b in zip(upper[first].tolist(), lower[first].tolist()):
         a, b = root(a), root(b)
-        if a != b:
-            parent[a] = b
-            count -= 1
-    return count
+        parent[max(a, b)] = min(a, b)  # runs go in raster order: a root is its first run
+    roots = np.array(parent, dtype=np.intp)
+    while np.any(roots[roots] != roots):
+        roots = roots[roots]
+    is_root = roots == np.arange(roots.size)
+    labels = np.zeros(free.shape, dtype=np.intp)
+    labels[free] = np.cumsum(is_root)[roots[run[free]]]
+    return labels, int(is_root.sum())
 
 
 def _check_connected(occ: np.ndarray, layout: str) -> None:
-    count = _count_components(~occ)
+    count = _label_components(~occ)[1]
     if count != 1:
         raise ConfigurationError(
             f"{layout}: generated free space is not connected ({count} components)"
@@ -224,6 +229,13 @@ def _twin_rooms(spec: WorldSpec) -> tuple[np.ndarray, np.ndarray]:
     door[d_lo:d_hi, mid_lo:mid_hi] = True
     door = door | door[::-1, ::-1]
     occ[door] = False
+    # clutter can seal a pocket off, and the symmetrization its rotated twin:
+    # wall in every component but the door's, unless the door joins no room
+    labels = _label_components(~occ)[0]
+    joined = labels == labels[d_lo, mid_lo]
+    if not joined[:, :mid_lo].any():
+        _check_connected(occ, spec.layout)
+    occ |= ~joined
 
     texture = np.zeros((height, width), dtype=np.uint8)
     if spec.texture_policy == "distinct":
@@ -231,7 +243,6 @@ def _twin_rooms(spec: WorldSpec) -> tuple[np.ndarray, np.ndarray]:
         cols = np.arange(width)[None, :]
         texture[free & (cols < mid_lo)] = 1
         texture[free & (cols >= mid_hi)] = 2
-    _check_connected(occ, spec.layout)
     return occ, texture
 
 

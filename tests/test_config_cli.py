@@ -90,7 +90,6 @@ class TestParseConfig:
         cfg = parse_config({})
         assert cfg.rays.n_rays == 40
         assert cfg.rays.fov == pytest.approx(math.radians(108.0))
-        assert cfg.bins.n_bins == 64
         assert cfg.grid.cell_stride_m is None
         assert cfg.crop.side_m == 5.0
         assert cfg.disambig.w == 0.5
@@ -600,6 +599,18 @@ class TestCliExitCodes:
         with open(out / "error.json") as fh:
             doc = json.load(fh)
         assert doc["error"]["type"] == "ConfigurationError"
+
+    def test_bins_section_is_rejected(self, tmp_path):
+        # the depth bins are library API (rayloc.raybins), not a config section
+        cfg = tmp_path / "bins.json"
+        cfg.write_text('{"bins": {"d_min_m": 0.1, "d_max_m": 10.0, "n_bins": 64, "gamma": 1.0}}')
+        out = tmp_path / "o"
+        code = main(["gen-world", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        with open(out / "error.json") as fh:
+            error = json.load(fh)["error"]
+        assert error["type"] == "ConfigurationError"
+        assert error["message"] == "unknown top-level config keys: ['bins']"
 
     @pytest.mark.parametrize(
         "command,section,override",

@@ -337,6 +337,11 @@ class TestKernelMatchesReference:
         raw_pairs=[(0, 1), (0, 1), (1, 1), (0, 0)],
         denominator=DENOM_WITH_POSITIVE, seed=0,
     )
+    # an empty batch: a loss of 0.0 and zero gradients
+    @example(
+        dim=4, tau=0.07, n_anchors=2, n_positives=3, n_families=(1, 2),
+        raw_pairs=[], denominator=DENOM_NEGATIVES_ONLY, seed=0,
+    )
     def test_loss_and_grad(
         self, dim, tau, n_anchors, n_positives, n_families, raw_pairs, denominator, seed
     ):
@@ -367,6 +372,9 @@ class TestKernelMatchesReference:
         for name in ref:
             assert grads[name].shape == ref[name].shape
             assert _relative_gap(grads[name], ref[name], tau) <= 1e-12
+        if not batch.pairs:
+            assert point_info_nce(batch, denominator) == 0.0
+            assert not any(g.any() for g in grads.values())
 
 
 @pytest.fixture(scope="module")
@@ -600,6 +608,47 @@ def _per_sample_reference(samples, weights, epochs, learning_rate, tau, denomina
     return weights, trace
 
 
+_sample_set_args = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n_samples=st.integers(1, 6),
+    n_feats=st.integers(2, 9),
+    n_dead=st.integers(0, 6),
+    denom=st.sampled_from([DENOM_NEGATIVES_ONLY, DENOM_WITH_POSITIVE]),
+)
+
+
+def _random_sample_set(rng, n_samples, n_feats, n_dead):
+    """A small random training set, its anchor dimension and its dead
+    columns. Peers' positives reappear as position negatives, both as copied
+    rows and by index (duplicates and self-peers included), the samples hold
+    different crop counts, so that they are padded, an orientation negative
+    may repeat within a sample, and the dead feature columns are zero in
+    every crop."""
+    dim = int(rng.integers(2, 6))
+    dead = rng.permutation(n_feats)[: min(n_dead, n_feats - 1)]
+    pool = rng.random((int(rng.integers(1, 8)), n_feats))
+    pool[:, dead] = 0.0
+    positives = pool[rng.integers(len(pool), size=n_samples)]
+    samples = []
+    for i in range(n_samples):
+        mined = pool[rng.integers(len(pool), size=int(rng.integers(0, 4)))]
+        copies = positives[rng.integers(n_samples, size=int(rng.integers(0, 4)))]
+        peers = tuple(rng.integers(n_samples, size=int(rng.integers(0, 4))).tolist())
+        n_negatives = len(mined) + len(copies) + len(peers)
+        n_ori = int(rng.integers(0, 3)) if n_negatives else int(rng.integers(1, 3))
+        ori = pool[rng.integers(len(pool))]
+        samples.append(
+            TrainingSample(
+                anchor_embedding=_unit(rng, 1, dim)[0],
+                positive_features=positives[i],
+                position_negative_features=np.vstack([mined, copies]),
+                orientation_negative_features=np.repeat(ori[None], n_ori, axis=0),
+                peer_indices=peers,
+            )
+        )
+    return samples, dim, dead
+
+
 class TestTraining:
     def test_loss_decreases(self):
         samples = _toy_samples()
@@ -621,42 +670,12 @@ class TestTraining:
                 assert np.allclose(ta, tb, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n_samples=st.integers(1, 6),
-        n_feats=st.integers(2, 9),
-        n_dead=st.integers(0, 6),
-        denom=st.sampled_from([DENOM_NEGATIVES_ONLY, DENOM_WITH_POSITIVE]),
-    )
+    @given(**_sample_set_args)
     def test_shared_rows_and_dead_columns_match_per_sample(
         self, seed, n_samples, n_feats, n_dead, denom
     ):
-        # peers' positives reappear as position negatives, both as copied
-        # rows and by index, an orientation negative may repeat within a
-        # sample, and some feature columns are zero in every crop
         rng = np.random.default_rng(seed)
-        dim = int(rng.integers(2, 6))
-        dead = rng.permutation(n_feats)[: min(n_dead, n_feats - 1)]
-        pool = rng.random((int(rng.integers(1, 8)), n_feats))
-        pool[:, dead] = 0.0
-        positives = pool[rng.integers(len(pool), size=n_samples)]
-        samples = []
-        for i in range(n_samples):
-            mined = pool[rng.integers(len(pool), size=int(rng.integers(0, 4)))]
-            copies = positives[rng.integers(n_samples, size=int(rng.integers(0, 4)))]
-            peers = tuple(rng.integers(n_samples, size=int(rng.integers(0, 4))).tolist())
-            n_negatives = len(mined) + len(copies) + len(peers)
-            n_ori = int(rng.integers(0, 3)) if n_negatives else int(rng.integers(1, 3))
-            ori = pool[rng.integers(len(pool))]
-            samples.append(
-                TrainingSample(
-                    anchor_embedding=_unit(rng, 1, dim)[0],
-                    positive_features=positives[i],
-                    position_negative_features=np.vstack([mined, copies]),
-                    orientation_negative_features=np.repeat(ori[None], n_ori, axis=0),
-                    peer_indices=peers,
-                )
-            )
+        samples, dim, dead = _random_sample_set(rng, n_samples, n_feats, n_dead)
         # a step small enough that no weight grows large, so that 1e-12 is a
         # summation-order bound (the weights stay below about 11)
         w0 = rng.normal(size=(dim, n_feats))
@@ -665,6 +684,32 @@ class TestTraining:
         assert np.allclose(wa, wb, rtol=0, atol=1e-12)
         assert np.allclose(ta, tb, rtol=0, atol=1e-12)
         assert np.array_equal(wa[:, dead], w0[:, dead])
+
+    @settings(max_examples=40, deadline=None)
+    @given(**_sample_set_args)
+    def test_step_matches_finite_differences(self, seed, n_samples, n_feats, n_dead, denom):
+        # one epoch's update is -learning_rate times the gradient of the mean
+        # loss, which is the first trace entry; check it against central
+        # differences of that loss over every live weight, with no oracle
+        rng = np.random.default_rng(seed)
+        samples, dim, dead = _random_sample_set(rng, n_samples, n_feats, n_dead)
+        w0 = rng.normal(size=(dim, n_feats))
+        lr, tau, h = 0.5, 0.07, 1e-6
+
+        def loss(w):
+            return _train_batched(samples, w, 1, lr, tau, denom)[1][0]
+
+        w1 = _train_batched(samples, w0.copy(), 1, lr, tau, denom)[0]
+        grad = (w0 - w1) / lr
+        live = np.setdiff1d(np.arange(n_feats), dead)
+        fd = np.zeros((dim, live.size))
+        for e, k in np.ndindex(fd.shape):
+            step = np.zeros_like(w0)
+            step[e, live[k]] = h
+            fd[e, k] = (loss(w0 + step) - loss(w0 - step)) / (2 * h)
+        scale = max(np.abs(fd).max(), 1.0)
+        assert np.abs(grad[:, live] - fd).max() / scale < 1e-6
+        assert np.array_equal(w1[:, dead], w0[:, dead])
 
     def test_zero_crop_fails_at_epoch_zero(self):
         samples = _ragged_samples()
@@ -809,12 +854,12 @@ class TestTraining:
             train_linear_embedder(samples, dim=dim, epochs=2)
 
 
-def _sparse_scatter(padded_rows, valid, d_slots, anchors):
+def _sparse_scatter(padded_rows, valid, d_slots, anchors, n_rows):
     """The reference for _slot_backprop: a (samples x rows) sparse matrix of
     the real slots' gradients, whose transpose sums them onto each row."""
     rows = padded_rows[valid]
     indptr = np.concatenate([[0], np.cumsum(valid.sum(axis=1))])
-    scatter = csr_array((d_slots[valid], rows, indptr), shape=(len(valid), rows.max() + 1))
+    scatter = csr_array((d_slots[valid], rows, indptr), shape=(len(valid), n_rows))
     return scatter.T @ anchors
 
 
@@ -851,9 +896,37 @@ class TestSlotBackprop:
         d_slots = rng.normal(size=valid.shape) * 10.0 ** rng.integers(-6, 7, size=valid.shape)
         d_slots[rng.random(valid.shape) < 0.1] = 0.0  # as an underflowed softmax weight
         d_slots[~valid] = np.nan  # a padded slot must never be read
-        got = _slot_backprop(padded_rows, valid, anchors)(d_slots)
-        want = _sparse_scatter(padded_rows, valid, d_slots, anchors)
+        got = _slot_backprop(padded_rows, valid, anchors, n_samples)(d_slots)
+        want = _sparse_scatter(padded_rows, valid, d_slots, anchors, len(got))
         assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_samples=st.integers(0, 8),
+        n_slots=st.integers(1, 6),
+        n_rows=st.integers(1, 9),
+        dim=st.integers(2, 5),
+        padded=st.booleans(),
+    )
+    @example(seed=0, n_samples=0, n_slots=3, n_rows=3, dim=2, padded=False)  # an empty batch
+    @example(seed=2, n_samples=6, n_slots=5, n_rows=1, dim=3, padded=True)
+    def test_shared_rows_bit_identical_to_sparse_scatter(
+        self, seed, n_samples, n_slots, n_rows, dim, padded
+    ):
+        # the batch loss's layout: every row is shared, so any slot may read
+        # any row, some rows are never read and a sample may read a row twice
+        rng = np.random.default_rng(seed)
+        padded_rows = rng.integers(n_rows, size=(n_samples, n_slots))
+        valid = rng.random(padded_rows.shape) < 0.7 if padded else np.ones(padded_rows.shape, bool)
+        anchors = rng.normal(size=(n_samples, dim)) * 10.0 ** rng.integers(-6, 7, size=(n_samples, 1))
+        d_slots = rng.normal(size=valid.shape) * 10.0 ** rng.integers(-6, 7, size=valid.shape)
+        d_slots[rng.random(valid.shape) < 0.1] = 0.0
+        d_slots[~valid] = np.nan
+        got = _slot_backprop(padded_rows, valid, anchors, n_rows)(d_slots)
+        want = _sparse_scatter(padded_rows, valid, d_slots, anchors, n_rows)
+        assert got.shape == want.shape == (n_rows, dim)
         assert got.tobytes() == want.tobytes()
 
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from rayloc.config import RunConfig, parse_config
 from rayloc.errors import ValidationError
 from rayloc.raybins import BinSpec, bin_centers, encode_depth, expected_depths, floc_loss
 
@@ -18,13 +17,6 @@ class TestBinSpec:
             BinSpec(n_bins=0)
         with pytest.raises(ValidationError):
             BinSpec(gamma=0.0)
-
-    def test_dict_round_trip(self):
-        spec = BinSpec(d_min=0.2, d_max=8.0, n_bins=32, gamma=2.0)
-        echoed = RunConfig(bins=spec).resolved()["bins"]
-        assert echoed == {"d_min_m": 0.2, "d_max_m": 8.0, "n_bins": 32, "gamma": 2.0}
-        assert parse_config({"bins": echoed}).bins == spec
-        assert parse_config({"bins": {}}).bins == BinSpec()
 
 
 class TestBinCenters:

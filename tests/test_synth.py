@@ -19,7 +19,7 @@ from rayloc.synth import (
     RandomProjectionEmbedder,
     WorldSpec,
     _check_connected,
-    _count_components,
+    _label_components,
     _dilate_square,
     generate_world,
     relabel_texture,
@@ -151,15 +151,18 @@ class TestMorphologyOracles:
     @example(height=9, width=7, density=1.0, seed=0)
     @example(height=9, width=7, density=0.0, seed=0)
     @settings(max_examples=300)
-    def test_component_count_matches_ndimage_label(self, height, width, density, seed):
+    def test_components_match_ndimage_label(self, height, width, density, seed):
         free = ~_grid(height, width, density, seed)
-        assert _count_components(free) == ndimage.label(free)[1]
+        labels, count = _label_components(free)
+        expected, expected_count = ndimage.label(free)
+        assert count == expected_count
+        assert np.array_equal(labels, expected)
 
     def test_diagonal_contact_does_not_connect(self):
         free = np.array([[True, False], [False, True]])
-        assert _count_components(free) == ndimage.label(free)[1] == 2
+        assert _label_components(free)[1] == ndimage.label(free)[1] == 2
         checkerboard = (np.indices((6, 7)).sum(axis=0) % 2).astype(bool)
-        assert _count_components(checkerboard) == 21
+        assert _label_components(checkerboard)[1] == 21
 
 
 class TestCheckConnected:
@@ -186,9 +189,20 @@ class TestCheckConnected:
             _check_connected(occ, "box")
 
     def test_generated_layout_can_be_split(self):
-        # at 0.5 m cells the door and the corner baffles close pockets off
+        # at 0.5 m cells the baffles close the door off from both rooms
         with pytest.raises(ConfigurationError, match=r"twin-rooms: .* \(5 components\)"):
             generate_world(WorldSpec(resolution=0.5, seed=3))
+
+    @pytest.mark.parametrize("seed", [453, 912, 944, 965, 1071, 1112])
+    def test_sealed_pockets_become_wall(self, seed):
+        # clutter seals a pocket of 25-30 cells in one room and the
+        # symmetrization its rotated twin; both are walled in, and the map
+        # stays connected and 180-degree symmetric
+        plan, poses = generate_world(WorldSpec(seed=seed))
+        occ = plan.occupancy
+        assert ndimage.label(~occ)[1] == 1
+        assert np.array_equal(occ, occ[::-1, ::-1])
+        assert poses and not plan.texture[occ].any()
 
 
 class TestValidGtPoses:
