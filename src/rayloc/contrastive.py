@@ -222,7 +222,8 @@ def _nce_grad_raw(
     a = anchors[j]
     d = _slot_nce(rows, a, slot_rows, valid, tau, denominator)[1]
     g_anchor = np.zeros_like(anchors)
-    np.add.at(g_anchor, j, np.einsum("sc,sce->se", d, rows[slot_rows]))
+    d_pn, d_on = np.split(d[:, 1:], [len(pos_negs)], axis=1)
+    np.add.at(g_anchor, j, d[:, :1] * positives[slot_rows[:, 0]] + d_pn @ pos_negs + d_on @ ori_negs)
     g_rows = _slot_backprop(slot_rows, valid, a, len(rows))(d)
     g_pos, g_pn, g_on = np.split(g_rows, np.cumsum([len(positives), len(pos_negs)]))
     return {

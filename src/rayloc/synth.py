@@ -114,11 +114,12 @@ def _dilate_square(occ: np.ndarray, radius: int) -> np.ndarray:
     return along_rows(along_rows(occ).T).T
 
 
-def _label_components(free: np.ndarray) -> tuple[np.ndarray, int]:
+def _label_components(free: np.ndarray, labels: bool = True) -> tuple[np.ndarray | None, int]:
     """The 4-connected components of the True cells, labelled 1, 2, ... in
     the raster order of their first cell as scipy.ndimage.label numbers them
     (0 on the other cells), and their count: label each row's runs of True,
-    then join the runs that touch vertically."""
+    then join the runs that touch vertically. With labels=False the labels
+    are None: the count alone skips the last pass over the runs and cells."""
     starts = free.copy()
     starts[:, 1:] &= ~free[:, :-1]  # a run starts at each row's first column
     run = np.cumsum(starts).reshape(free.shape) - 1
@@ -137,18 +138,21 @@ def _label_components(free: np.ndarray) -> tuple[np.ndarray, int]:
 
     for a, b in zip(upper[first].tolist(), lower[first].tolist()):
         a, b = root(a), root(b)
-        parent[max(a, b)] = min(a, b)  # runs go in raster order: a root is its first run
-    roots = np.array(parent, dtype=np.intp)
-    while np.any(roots[roots] != roots):
-        roots = roots[roots]
-    is_root = roots == np.arange(roots.size)
-    labels = np.zeros(free.shape, dtype=np.intp)
-    labels[free] = np.cumsum(is_root)[roots[run[free]]]
-    return labels, int(is_root.sum())
+        if a < b:  # runs go in raster order: a root is its component's first run
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    is_root = np.array(parent, dtype=np.intp) == np.arange(len(parent))
+    count = int(is_root.sum())
+    if not labels:
+        return None, count
+    run_labels = np.append(np.cumsum(is_root)[[root(a) for a in range(len(parent))]], 0)
+    return np.where(free, run_labels[run], 0), count  # a run of -1 reads the appended 0
 
 
-def _check_connected(occ: np.ndarray, layout: str) -> None:
-    count = _label_components(~occ)[1]
+def _check_connected(occ: np.ndarray, layout: str, count: int | None = None) -> None:
+    if count is None:
+        count = _label_components(~occ, labels=False)[1]
     if count != 1:
         raise ConfigurationError(
             f"{layout}: generated free space is not connected ({count} components)"
@@ -231,11 +235,13 @@ def _twin_rooms(spec: WorldSpec) -> tuple[np.ndarray, np.ndarray]:
     occ[door] = False
     # clutter can seal a pocket off, and the symmetrization its rotated twin:
     # wall in every component but the door's, unless the door joins no room
-    labels = _label_components(~occ)[0]
-    joined = labels == labels[d_lo, mid_lo]
-    if not joined[:, :mid_lo].any():
-        _check_connected(occ, spec.layout)
-    occ |= ~joined
+    count = _label_components(~occ, labels=False)[1]
+    if count > 1:
+        labels = _label_components(~occ)[0]
+        joined = labels == labels[d_lo, mid_lo]
+        if not joined[:, :mid_lo].any():
+            _check_connected(occ, spec.layout, count)
+        occ |= ~joined
 
     texture = np.zeros((height, width), dtype=np.uint8)
     if spec.texture_policy == "distinct":

@@ -897,7 +897,9 @@ class TestSlotBackprop:
         d_slots[rng.random(valid.shape) < 0.1] = 0.0  # as an underflowed softmax weight
         d_slots[~valid] = np.nan  # a padded slot must never be read
         got = _slot_backprop(padded_rows, valid, anchors, n_samples)(d_slots)
-        want = _sparse_scatter(padded_rows, valid, d_slots, anchors, len(got))
+        want = _sparse_scatter(
+            padded_rows, valid, d_slots, anchors, int(padded_rows[valid].max()) + 1
+        )
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
