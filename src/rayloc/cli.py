@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import bench as bench_mod
-from .config import RunConfig, load_config
+from .config import CONVERTERS, RunConfig, load_config
 from .contrastive import (
     MinedSample,
     add_peer_negatives,
@@ -170,7 +170,7 @@ def _load_signature(path: str) -> ObservationSignature:
             doc = json.load(fh)
             return ObservationSignature(
                 depths=np.asarray(doc["depths_m"], dtype=float),
-                texture_counts=np.asarray(doc["texture_counts"], dtype=np.int64),
+                texture_counts=[CONVERTERS[int](c) for c in doc["texture_counts"]],
                 fov=float(doc["fov_rad"]),
                 max_range=float(doc["max_range_m"]),
                 noise=NoiseSpec(
@@ -183,17 +183,6 @@ def _load_signature(path: str) -> ObservationSignature:
 
 
 def cmd_localize(cfg: RunConfig, args) -> None:
-    disambig, crop_spec = cfg.disambig, cfg.crop
-    for param, value in (("w", args.w), ("x", args.x), ("crop-m", args.crop_m)):
-        if value is None:
-            continue
-        try:
-            [(_, disambig, crop_spec)] = bench_mod.sweep_points(
-                param, [value], disambig, crop_spec
-            )
-        except ValidationError as exc:
-            raise ConfigurationError(f"bad --{param}: {exc}") from exc
-
     plan = load_floorplan(_require_file(args.map))
     pred = _read_columns(args.rays, ["depth_m"])[:, 0]
     if pred.size != cfg.rays.n_rays:
@@ -226,8 +215,8 @@ def cmd_localize(cfg: RunConfig, args) -> None:
         scorer.grid,
         query,
         embedder.embed_crop,
-        config=disambig,
-        crop_spec=crop_spec,
+        config=cfg.disambig,
+        crop_spec=cfg.crop,
         sigma=cfg.bench.sigma_m,
         scorer=scorer,
     )
@@ -462,6 +451,7 @@ def _emit_error(args, code: int, exc: Exception) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    running = False  # a RaylocError before the command runs is a config error
     try:
         try:
             os.makedirs(args.out, exist_ok=True)
@@ -472,25 +462,29 @@ def main(argv: list[str] | None = None) -> int:
             cfg = replace(cfg, seed=args.seed)
             if args.command == "gen-world":  # --seed picks the world, echoed as world.seed
                 cfg = replace(cfg, world=replace(cfg.world, seed=args.seed))
+        if args.command == "localize":  # --x is the pose's x on cast and simulate
+            for param, value in (("w", args.w), ("x", args.x), ("crop-m", args.crop_m)):
+                if value is not None:
+                    try:
+                        [(_, disambig, crop)] = bench_mod.sweep_points(
+                            param, [value], cfg.disambig, cfg.crop
+                        )
+                    except ValidationError as exc:
+                        raise ConfigurationError(f"bad --{param}: {exc}") from exc
+                    cfg = replace(cfg, disambig=disambig, crop=crop)
         if getattr(args, "threads", None) is not None and args.threads < 1:
             raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
-    except (FileNotFoundError, FormatError) as exc:
-        _emit_error(args, EXIT_MISSING, exc)
-        return EXIT_MISSING
-    except RaylocError as exc:
-        _emit_error(args, EXIT_CONFIG, exc)
-        return EXIT_CONFIG
-    try:
+        running = True
         COMMANDS[args.command](cfg, args)
-    except (FileNotFoundError, FormatError) as exc:
-        _emit_error(args, EXIT_MISSING, exc)
-        return EXIT_MISSING
-    except ConfigurationError as exc:
-        _emit_error(args, EXIT_CONFIG, exc)
-        return EXIT_CONFIG
-    except RaylocError as exc:
-        _emit_error(args, EXIT_RUNTIME, exc)
-        return EXIT_RUNTIME
+    except (FileNotFoundError, RaylocError) as exc:
+        if isinstance(exc, (FileNotFoundError, FormatError)):
+            code = EXIT_MISSING
+        elif isinstance(exc, ConfigurationError) or not running:
+            code = EXIT_CONFIG
+        else:
+            code = EXIT_RUNTIME
+        _emit_error(args, code, exc)
+        return code
     _write_json(os.path.join(args.out, "resolved_config.json"), cfg.resolved())
     return 0
 

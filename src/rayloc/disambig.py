@@ -108,12 +108,14 @@ def localize(
 
     Depth posterior -> top-X candidates -> per-candidate crop embeddings, in
     candidate order -> similarity map -> fusion -> final pose. A prebuilt
-    `scorer` carries its own grid and ray sensor and amortizes the
-    rendered-fan table across queries; without one, a table is built from
-    `grid`, `n_rays`, `fov` and `max_range` for this call alone.
+    `scorer` carries its own ray sensor, must be given its own plan and grid,
+    and amortizes the rendered-fan table across queries; without one, a table
+    is built from `grid`, `n_rays`, `fov` and `max_range` for this call alone.
     """
     if scorer is None:
         scorer = GridScorer(plan, grid, n_rays=n_rays, fov=fov, max_range=max_range)
+    elif plan is not scorer.plan or grid != scorer.grid:
+        raise ValidationError("localize: plan and grid must be the scorer's own")
     dafpm = scorer.score(pred_depths, sigma)
     candidates = top_x(dafpm, config.x)
 

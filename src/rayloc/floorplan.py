@@ -153,6 +153,14 @@ def check_depth_range(depths: np.ndarray, max_range: float, what: str = "predict
         raise ValidationError(f"{what} must be finite and lie in [0, {max_range}]")
 
 
+def check_ray_sensor(max_range: float, fov: float | None = None) -> None:
+    """The one ray-sensor rule: a finite max_range > 0 and a fov in (0, 2*pi)."""
+    if fov is not None and not 0.0 < fov < TWO_PI:
+        raise ValidationError(f"fov must be in (0, 2*pi), got {fov}")
+    if not 0.0 < max_range < math.inf:
+        raise ValidationError(f"max_range must be finite and > 0, got {max_range}")
+
+
 @dataclass(frozen=True)
 class RayFan:
     """Metric depths over an equiangular horizontal fan.
@@ -169,8 +177,7 @@ class RayFan:
 
     def __post_init__(self):
         depths = np.asarray(self.depths, dtype=float)
-        if not (0.0 < self.fov < TWO_PI):
-            raise ValidationError(f"fov must be in (0, 2*pi), got {self.fov}")
+        check_ray_sensor(self.max_range, self.fov)
         check_depth_range(depths, self.max_range, "depths")
         hits = self.hits
         if hits is None:
@@ -258,6 +265,8 @@ def _stencil_rays(
         stencils, stencil = np.unique(stencil, return_inverse=True)
     pair, angle = np.divmod(stencils, angles.size)
     dx, dy = np.cos(angles), np.sin(angles)
+    # a subnormal component (its 1 / d overflows) never reaches a grid line in range
+    dx, dy = (np.where(np.abs(d) < np.finfo(float).tiny, 0.0, d) for d in (dx, dy))
     # 1 / d, and 0 where an axis never steps so that _extend_stencils adds 0
     inv_dx = np.divide(1.0, dx, out=np.zeros_like(dx), where=dx != 0)
     inv_dy = np.divide(1.0, dy, out=np.zeros_like(dy), where=dy != 0)

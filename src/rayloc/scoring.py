@@ -26,6 +26,7 @@ from .floorplan import (
     _write_tensor,
     cast_rays,
     check_depth_range,
+    check_ray_sensor,
     ray_bearings,
 )
 
@@ -194,6 +195,7 @@ class GridScorer:
             threads = usable_cpus()
         if threads < 1:
             raise ValidationError(f"threads must be >= 1, got {threads}")
+        check_ray_sensor(max_range, fov)
         if not max_range <= MAX_TABLE_RANGE:
             raise ValidationError(
                 f"max_range must be <= {MAX_TABLE_RANGE:.6f} m for an int32 "

@@ -24,7 +24,9 @@ from .floorplan import (
     TWO_PI,
     FloorPlan,
     Pose,
+    RayFan,
     check_depth_range,
+    check_ray_sensor,
     ray_bearings,
     render_gt_rays,
 )
@@ -46,9 +48,8 @@ class WorldSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.layout != LAYOUT_TWIN and self.layout != LAYOUT_RANDOM:
-            if not LAYOUT_CORRIDOR.match(self.layout):
-                raise ValidationError(f"unknown layout {self.layout!r}")
+        if self.layout not in (LAYOUT_TWIN, LAYOUT_RANDOM) and not LAYOUT_CORRIDOR.match(self.layout):
+            raise ValidationError(f"unknown layout {self.layout!r}")
         if not self.resolution > 0:
             raise ValidationError("resolution must be > 0")
         if self.texture_policy not in ("distinct", "none"):
@@ -85,6 +86,8 @@ class ObservationSignature:
             raise ValidationError("signature depths must be a nonempty list of finite numbers")
         if counts.shape != (256,):
             raise ValidationError(f"texture_counts must hold 256 counts, got shape {counts.shape}")
+        if np.any(counts < 0):
+            raise ValidationError("texture_counts must be >= 0")
         depths.setflags(write=False)
         counts.setflags(write=False)
         object.__setattr__(self, "depths", depths)
@@ -93,6 +96,13 @@ class ObservationSignature:
 
 def _cells(meters: float, resolution: float) -> int:
     return max(1, int(round(meters / resolution)))
+
+
+def _walled(height: int, width: int, border: int) -> np.ndarray:
+    """An all-wall grid whose interior, border cells in from each edge, is free."""
+    occ = np.ones((height, width), dtype=bool)
+    occ[border : height - border, border : width - border] = False
+    return occ
 
 
 def _symmetrize(occ: np.ndarray) -> np.ndarray:
@@ -159,10 +169,8 @@ def _check_connected(occ: np.ndarray, layout: str, count: int | None = None) -> 
         )
 
 
-def _twin_rooms(spec: WorldSpec) -> tuple[np.ndarray, np.ndarray]:
+def _twin_rooms(spec: WorldSpec, height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     res = spec.resolution
-    width = _cells(spec.extent[0], res)
-    height = _cells(spec.extent[1], res)
     border = _cells(0.5, res)
     mid_half = max(1, _cells(1.0, res) // 2)
     # the baffles below sit between margins of 0.5 and 0.7 m inside each room
@@ -176,11 +184,7 @@ def _twin_rooms(spec: WorldSpec) -> tuple[np.ndarray, np.ndarray]:
             f"{spec.extent[0]:g} x {spec.extent[1]:g} m"
         )
 
-    occ = np.zeros((height, width), dtype=bool)
-    occ[:border, :] = True
-    occ[-border:, :] = True
-    occ[:, :border] = True
-    occ[:, -border:] = True
+    occ = _walled(height, width, border)
     mid_lo = width // 2 - mid_half
     mid_hi = width // 2 + mid_half
     occ[:, mid_lo:mid_hi] = True
@@ -231,8 +235,7 @@ def _twin_rooms(spec: WorldSpec) -> tuple[np.ndarray, np.ndarray]:
     d_hi = height // 2 + door_half
     door = np.zeros_like(occ)
     door[d_lo:d_hi, mid_lo:mid_hi] = True
-    door = door | door[::-1, ::-1]
-    occ[door] = False
+    occ[_symmetrize(door)] = False
     # clutter can seal a pocket off, and the symmetrization its rotated twin:
     # wall in every component but the door's, unless the door joins no room
     count = _label_components(~occ, labels=False)[1]
@@ -244,18 +247,14 @@ def _twin_rooms(spec: WorldSpec) -> tuple[np.ndarray, np.ndarray]:
         occ |= ~joined
 
     texture = np.zeros((height, width), dtype=np.uint8)
-    if spec.texture_policy == "distinct":
-        free = ~occ
-        cols = np.arange(width)[None, :]
-        texture[free & (cols < mid_lo)] = 1
-        texture[free & (cols >= mid_hi)] = 2
+    cols = np.arange(width)[None, :]
+    texture[~occ & (cols < mid_lo)] = 1
+    texture[~occ & (cols >= mid_hi)] = 2
     return occ, texture
 
 
-def _corridor(spec: WorldSpec, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _corridor(spec: WorldSpec, height: int, width: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     res = spec.resolution
-    width = _cells(spec.extent[0], res)
-    height = _cells(spec.extent[1], res)
     border = _cells(0.3, res)
     wall = max(2, _cells(0.2, res))
     corridor_h = _cells(1.4, res)
@@ -271,24 +270,20 @@ def _corridor(spec: WorldSpec, k: int) -> tuple[np.ndarray, np.ndarray]:
     # corridor along the bottom
     c_lo = height - border - corridor_h
     occ[c_lo : height - border, border : width - border] = False
-    if spec.texture_policy == "distinct":
-        texture[c_lo : height - border, border : width - border] = min(k + 1, MAX_TEXTURE_IDS)
+    texture[c_lo : height - border, border : width - border] = min(k + 1, MAX_TEXTURE_IDS)
     door_half = max(1, _cells(0.8, res) // 2)
     for i in range(k):
         left = border + i * (room_w + wall)
         occ[border : border + room_h, left : left + room_w] = False
-        if spec.texture_policy == "distinct":
-            texture[border : border + room_h, left : left + room_w] = min(i + 1, MAX_TEXTURE_IDS)
+        texture[border : border + room_h, left : left + room_w] = min(i + 1, MAX_TEXTURE_IDS)
         mid = left + room_w // 2
         occ[border + room_h : c_lo, mid - door_half : mid + door_half] = False
     _check_connected(occ, spec.layout)
     return occ, texture
 
 
-def _random_partition(spec: WorldSpec) -> tuple[np.ndarray, np.ndarray]:
+def _random_partition(spec: WorldSpec, height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     res = spec.resolution
-    width = _cells(spec.extent[0], res)
-    height = _cells(spec.extent[1], res)
     border = max(2, _cells(0.3, res))
     wall = max(2, _cells(0.2, res))
     min_side = _cells(2.0, res)
@@ -296,45 +291,31 @@ def _random_partition(spec: WorldSpec) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigurationError("random-partition: extent too small")
 
     rng = np.random.default_rng(spec.seed)
-    occ = np.zeros((height, width), dtype=bool)
-    occ[:border, :] = True
-    occ[-border:, :] = True
-    occ[:, :border] = True
-    occ[:, -border:] = True
-
+    occ = _walled(height, width, border)
+    door_half = max(1, _cells(0.8, res) // 2)
     rooms: list[tuple[int, int, int, int]] = []
 
-    def split(r0, r1, c0, c1, depth):
-        h, w = r1 - r0, c1 - c0
-        if depth <= 0 or (h < 2 * min_side + wall and w < 2 * min_side + wall):
-            rooms.append((r0, r1, c0, c1))
+    def split(rows, cols, depth):
+        h, w = rows[1] - rows[0], cols[1] - cols[0]
+        if depth <= 0 or max(h, w) < 2 * min_side + wall:
+            rooms.append((*rows, *cols))
             return
-        if w >= h and w >= 2 * min_side + wall:
-            cut = int(rng.integers(c0 + min_side, c1 - min_side - wall + 1))
-            occ[r0:r1, cut : cut + wall] = True
-            door_half = max(1, _cells(0.8, res) // 2)
-            mid = int(rng.integers(r0 + door_half, r1 - door_half))
-            occ[mid - door_half : mid + door_half, cut : cut + wall] = False
-            split(r0, r1, c0, cut, depth - 1)
-            split(r0, r1, cut + wall, c1, depth - 1)
-        elif h >= 2 * min_side + wall:
-            cut = int(rng.integers(r0 + min_side, r1 - min_side - wall + 1))
-            occ[cut : cut + wall, c0:c1] = True
-            door_half = max(1, _cells(0.8, res) // 2)
-            mid = int(rng.integers(c0 + door_half, c1 - door_half))
-            occ[cut : cut + wall, mid - door_half : mid + door_half] = False
-            split(r0, cut, c0, c1, depth - 1)
-            split(cut + wall, r1, c0, c1, depth - 1)
-        else:
-            rooms.append((r0, r1, c0, c1))
+        # a wall with a door across the longer side (the columns on a tie); a
+        # cut across the columns is a cut across the rows of occ.T
+        grid, (a0, a1), (b0, b1) = (occ.T, cols, rows) if w >= h else (occ, rows, cols)
+        cut = int(rng.integers(a0 + min_side, a1 - min_side - wall + 1))
+        grid[cut : cut + wall, b0:b1] = True
+        mid = int(rng.integers(b0 + door_half, b1 - door_half))
+        grid[cut : cut + wall, mid - door_half : mid + door_half] = False
+        for part in ((a0, cut), (cut + wall, a1)):
+            split(*((rows, part) if w >= h else (part, cols)), depth - 1)
 
-    split(border, height - border, border, width - border, depth=4)
+    split((border, height - border), (border, width - border), depth=4)
 
     texture = np.zeros((height, width), dtype=np.uint8)
-    if spec.texture_policy == "distinct":
-        for i, (r0, r1, c0, c1) in enumerate(rooms):
-            region = ~occ[r0:r1, c0:c1]
-            texture[r0:r1, c0:c1][region] = min(i + 1, MAX_TEXTURE_IDS)
+    for i, (r0, r1, c0, c1) in enumerate(rooms):
+        region = ~occ[r0:r1, c0:c1]
+        texture[r0:r1, c0:c1][region] = min(i + 1, MAX_TEXTURE_IDS)
     _check_connected(occ, spec.layout)
     return occ, texture
 
@@ -343,23 +324,19 @@ def generate_world(spec: WorldSpec) -> tuple[FloorPlan, list[Pose]]:
     """Deterministically build a floorplan for the spec and list the poses
     suitable as ground truth (free, clear of walls, inside a textured room,
     headings on the default 10-degree orientation centers)."""
+    shape = _cells(spec.extent[1], spec.resolution), _cells(spec.extent[0], spec.resolution)
     match = LAYOUT_CORRIDOR.match(spec.layout)
-    if spec.layout == LAYOUT_TWIN:
-        occ, texture = _twin_rooms(spec)
-    elif spec.layout == LAYOUT_RANDOM:
-        occ, texture = _random_partition(spec)
-    elif match:
-        occ, texture = _corridor(spec, int(match.group(1)))
-    else:  # pragma: no cover - blocked by WorldSpec validation
-        raise ValidationError(f"unknown layout {spec.layout!r}")
-
+    if match:
+        occ, texture = _corridor(spec, *shape, int(match.group(1)))
+    else:
+        generator = _twin_rooms if spec.layout == LAYOUT_TWIN else _random_partition
+        occ, texture = generator(spec, *shape)
     plan = FloorPlan(
         occupancy=occ,
         resolution=spec.resolution,
         texture=texture if spec.texture_policy == "distinct" else None,
     )
-    poses = valid_gt_poses(plan, seed=spec.seed)
-    return plan, poses
+    return plan, valid_gt_poses(plan, seed=spec.seed)
 
 
 def relabel_texture(plan: FloorPlan, offset: int) -> FloorPlan:
@@ -391,8 +368,7 @@ def valid_gt_poses(
         ok &= plan.texture > 0
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6A5E5]))
     rows, cols = np.nonzero(ok)
-    xs = plan.origin[0] + (cols + 0.5) * plan.resolution
-    ys = plan.origin[1] + (rows + 0.5) * plan.resolution
+    xs, ys = plan.cell_center(rows, cols)
     thetas = TWO_PI * rng.integers(n_orientations, size=rows.size) / n_orientations
     return [Pose(x, y, t) for x, y, t in zip(xs.tolist(), ys.tolist(), thetas.tolist())]
 
@@ -420,7 +396,7 @@ def simulate_observation(
         pred = np.where(drop, max_range, pred)
     pred = np.clip(pred, 0.0, max_range)
 
-    counts = _texture_counts_along_rays(plan, pose, fan, n_rays, fov)
+    counts = _texture_counts_along_rays(plan, pose, fan)
     signature = ObservationSignature(
         depths=fan.depths,
         texture_counts=counts,
@@ -431,33 +407,24 @@ def simulate_observation(
     return pred, signature
 
 
-def _texture_counts_along_rays(
-    plan: FloorPlan, pose: Pose, fan, n_rays: int, fov: float
-) -> np.ndarray:
+def _texture_counts_along_rays(plan: FloorPlan, pose: Pose, fan: RayFan) -> np.ndarray:
+    """Texture-id histogram of samples every half cell along each ray, short
+    of its depth; samples off the map or on an untextured plan count as id 0."""
     step = plan.resolution / 2.0
-    bearings = ray_bearings(pose.theta, n_rays, fov)
-    counts = np.zeros(256, dtype=np.int64)
-    for i in range(n_rays):
-        ts = np.arange(0.5 * step, fan.depths[i], step)
-        if ts.size == 0:
-            continue
-        xs = pose.x + math.cos(bearings[i]) * ts
-        ys = pose.y + math.sin(bearings[i]) * ts
-        cols = np.floor((xs - plan.origin[0]) / plan.resolution).astype(np.int64)
-        rows = np.floor((ys - plan.origin[1]) / plan.resolution).astype(np.int64)
-        inside = (
-            (cols >= 0)
-            & (cols < plan.width_cells)
-            & (rows >= 0)
-            & (rows < plan.height_cells)
-        )
-        if plan.texture is None:
-            ids = np.zeros(int(inside.sum()), dtype=np.int64)
-        else:
-            ids = plan.texture[rows[inside], cols[inside]].astype(np.int64)
-        counts += np.bincount(ids, minlength=256)
-        counts[0] += int((~inside).sum())  # out-of-map samples count as id 0
-    return counts
+    # every ray samples a prefix of the longest ray's samples: as many as
+    # np.arange(0.5 * step, depth, step) holds
+    ts = np.arange(0.5 * step, fan.depths.max(), step)
+    keep = np.arange(ts.size) < np.ceil((fan.depths - 0.5 * step) / step)[:, None]
+    bearings = ray_bearings(pose.theta, fan.n_rays, fan.fov).tolist()
+    cos = np.array([math.cos(b) for b in bearings])[:, None]  # math, as np.cos may differ by an ulp
+    sin = np.array([math.sin(b) for b in bearings])[:, None]
+    cols = np.floor(((pose.x + cos * ts)[keep] - plan.origin[0]) / plan.resolution).astype(np.int64)
+    rows = np.floor(((pose.y + sin * ts)[keep] - plan.origin[1]) / plan.resolution).astype(np.int64)
+    inside = (cols >= 0) & (cols < plan.width_cells) & (rows >= 0) & (rows < plan.height_cells)
+    ids = np.zeros(cols.size, dtype=np.int64)
+    if plan.texture is not None:
+        ids[inside] = plan.texture[rows[inside], cols[inside]]
+    return np.bincount(ids, minlength=256)
 
 
 class RandomProjectionEmbedder:
@@ -478,6 +445,7 @@ class RandomProjectionEmbedder:
     ):
         if dim < 2:
             raise ValidationError("embedding dimension must be >= 2")
+        check_ray_sensor(max_range)
         self.dim = dim
         self.geom_len = POOL_BLOCKS * POOL_BLOCKS
         self.texture_weight = texture_weight

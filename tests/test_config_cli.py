@@ -467,6 +467,24 @@ class TestCliLocalize:
         fused = np.array([float(r["fused_prob"]) for r in rows])
         assert fused.sum() == pytest.approx(1.0, abs=1e-3)
 
+    def test_echo_reproduces_an_overridden_run(
+        self, generated_world, small_config_path, simulated, tmp_path
+    ):
+        sim_out, _ = simulated
+        inputs = (generated_world / "map.pgm", sim_out / "rays.csv", sim_out / "signature.json")
+        first, rerun = tmp_path / "first", tmp_path / "rerun"
+        argv = _localize(small_config_path, *inputs, first, "--w", "0.0", "--x", "7",
+                         "--crop-m", "3")
+        assert main(argv) == 0
+        with open(first / "resolved_config.json") as fh:
+            doc = json.load(fh)
+        assert (doc["disambig"]["w"], doc["disambig"]["x"], doc["crop"]["side_m"]) == (0.0, 7, 3.0)
+        with open(first / "candidates.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == 7
+        assert main(_localize(first / "resolved_config.json", *inputs, rerun)) == 0
+        for name in ("pose.json", "candidates.csv", "dafpm.dpmf", "resolved_config.json"):
+            assert (rerun / name).read_bytes() == (first / name).read_bytes()
+
     def test_candidate_count_saturates(
         self, generated_world, small_config_path, simulated, tmp_path
     ):
@@ -725,6 +743,10 @@ class TestCliInputErrors:
             ("signature.json", '{"depths_m": [1.0]'),
             ("signature.json", "set:texture_counts=[1, 2, 3]"),
             ("signature.json", "set:depths_m=[]"),
+            pytest.param("signature.json", "set:texture_counts=" + json.dumps([-50] + [0] * 255),
+                         id="signature.json-negative-count"),
+            pytest.param("signature.json", "set:texture_counts=" + json.dumps([2.7] + [0] * 255),
+                         id="signature.json-fractional-count"),
             ("query.emb", b"EMB1" + struct.pack("<II", 0, 64)),
         ],
     )

@@ -356,6 +356,13 @@ class TestCastRaysOracle:
             ref = _reference_cast_rays(box_plan, [x], [y], [bearing], max_range)
             assert np.array_equal(got, ref)
 
+    @pytest.mark.parametrize("bearing", [5e-324, -5e-324, 2.2e-311, -1e-310])
+    def test_subnormal_bearing_casts_as_bearing_zero(self, box_plan, bearing):
+        # 1 / sin(bearing) used to overflow into a RuntimeWarning and nan depths
+        xs, ys = [0.5, 0.3, 0.37, 0.1], [0.5, 0.3, 0.52, 0.1]
+        got = cast_rays(box_plan, xs, ys, [bearing] * 4, 0.77)
+        assert np.array_equal(got, cast_rays(box_plan, xs, ys, [0.0] * 4, 0.77))
+
 
 class TestRayFan:
     def test_render_gt_rays(self, box_plan):

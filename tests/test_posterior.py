@@ -268,6 +268,43 @@ class TestGridScorer:
         assert np.array_equal(a.dafpm.values, b.dafpm.values)
         assert a.pose == b.pose
 
+    def test_localize_rejects_a_plan_or_grid_not_the_scorers(self, world):
+        plan, poses = world
+        grid = PoseGridSpec(cell_stride=0.3, n_orientations=4)
+        scorer = GridScorer(plan, grid, n_rays=12)
+        fan = render_gt_rays(plan, poses[0], n_rays=12)
+        embedder = RandomProjectionEmbedder(dim=8, seed=0)
+        query = embedder.embed_crop(extract_crop(plan, poses[0], CropSpec()))
+        # a map of the same extent would crop silently wrong candidates
+        same_extent, _ = generate_world(
+            WorldSpec(layout="random-partition", extent=(6.0, 5.0), seed=12)
+        )
+        copied = FloorPlan(occupancy=plan.occupancy, resolution=plan.resolution, texture=plan.texture)
+        for other_plan, other_grid in (
+            (same_extent, grid), (copied, grid), (plan, PoseGridSpec(0.3, 8)),
+            (plan, PoseGridSpec(0.2, 4)),
+        ):
+            with pytest.raises(ValidationError, match="scorer's own"):
+                localize(other_plan, fan.depths, other_grid, query, embedder.embed_crop,
+                         scorer=scorer)
+        # an equal grid is the scorer's grid
+        localize(plan, fan.depths, PoseGridSpec(0.3, 4), query, embedder.embed_crop, scorer=scorer)
+
+    @pytest.mark.parametrize(
+        "sensor",
+        [dict(fov=math.nan), dict(fov=7.0), dict(fov=0.0), dict(fov=-1.0), dict(fov=2 * math.pi),
+         dict(max_range=0.0), dict(max_range=-1.0), dict(max_range=math.nan)],
+        ids=lambda sensor: "{}={}".format(*next(iter(sensor.items()))),
+    )
+    def test_invalid_ray_sensor_rejected_before_the_build(self, world, monkeypatch, sensor):
+        def no_cast(*args, **kwargs):
+            raise AssertionError("rays cast for an invalid sensor")
+
+        monkeypatch.setattr(scoring, "cast_rays", no_cast)
+        plan, _ = world
+        with pytest.raises(ValidationError, match=next(iter(sensor))):
+            GridScorer(plan, PoseGridSpec(0.5, 2), n_rays=8, **sensor)
+
 
 def _reference_table(scorer: GridScorer) -> np.ndarray:
     """The table cast in one cast_rays call over every ray, in int32 units of

@@ -1,17 +1,18 @@
 """World generation, observation simulation, and the reference embedder."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
 from rayloc.crops import CropSpec, extract_crop
 from rayloc.errors import ConfigurationError, ValidationError
-from rayloc.floorplan import Pose, render_gt_rays
+from rayloc.floorplan import TWO_PI, FloorPlan, Pose, ray_bearings, render_gt_rays
 from rayloc.synth import (
     POSE_CLEARANCE_M,
     NoiseSpec,
@@ -21,6 +22,7 @@ from rayloc.synth import (
     _check_connected,
     _label_components,
     _dilate_square,
+    _texture_counts_along_rays,
     generate_world,
     relabel_texture,
     simulate_observation,
@@ -345,6 +347,13 @@ class TestSimulateObservation:
                 depths=depths, texture_counts=np.zeros(counts), fov=1.0, max_range=10.0
             )
 
+    @pytest.mark.parametrize("bad", [-1, -50])
+    def test_negative_texture_count_rejected(self, bad):
+        counts = np.zeros(256, dtype=np.int64)
+        counts[3] = bad
+        with pytest.raises(ValidationError, match="texture_counts"):
+            ObservationSignature(depths=[1.0, 2.0], texture_counts=counts, fov=1.0, max_range=10.0)
+
     def test_noise_spec_validation(self):
         with pytest.raises(ValidationError):
             NoiseSpec(depth_sigma=-1.0)
@@ -354,6 +363,93 @@ class TestSimulateObservation:
             NoiseSpec(depth_sigma=math.nan)
         with pytest.raises(ValidationError):
             NoiseSpec(dropout=math.nan)
+
+
+def _reference_texture_counts(plan, pose, fan, n_rays, fov):
+    """_texture_counts_along_rays as a per-ray loop: one np.arange of samples
+    and one bincount per ray."""
+    step = plan.resolution / 2.0
+    bearings = ray_bearings(pose.theta, n_rays, fov)
+    counts = np.zeros(256, dtype=np.int64)
+    for i in range(n_rays):
+        ts = np.arange(0.5 * step, fan.depths[i], step)
+        if ts.size == 0:
+            continue
+        xs = pose.x + math.cos(bearings[i]) * ts
+        ys = pose.y + math.sin(bearings[i]) * ts
+        cols = np.floor((xs - plan.origin[0]) / plan.resolution).astype(np.int64)
+        rows = np.floor((ys - plan.origin[1]) / plan.resolution).astype(np.int64)
+        inside = (
+            (cols >= 0)
+            & (cols < plan.width_cells)
+            & (rows >= 0)
+            & (rows < plan.height_cells)
+        )
+        if plan.texture is None:
+            ids = np.zeros(int(inside.sum()), dtype=np.int64)
+        else:
+            ids = plan.texture[rows[inside], cols[inside]].astype(np.int64)
+        counts += np.bincount(ids, minlength=256)
+        counts[0] += int((~inside).sum())  # out-of-map samples count as id 0
+    return counts
+
+
+@functools.cache
+def _sampling_plans() -> tuple[FloorPlan, ...]:
+    """Generated worlds with and without texture, plus open maps whose rays
+    leave the map, so that samples fall off it."""
+    specs = [
+        WorldSpec(seed=1),
+        WorldSpec(seed=2, texture_policy="none"),
+        WorldSpec(layout="corridor-of-3", extent=(10.0, 4.0), resolution=0.05),
+        WorldSpec(layout="random-partition", seed=5, resolution=0.07),
+    ]
+    rng = np.random.default_rng(0)
+    open_textured = FloorPlan(
+        occupancy=np.zeros((30, 40), dtype=bool),
+        resolution=0.1,
+        texture=rng.integers(0, 256, size=(30, 40)).astype(np.uint8),
+        origin=(-1.5, 0.25),
+    )
+    open_bare = FloorPlan(occupancy=np.zeros((12, 9), dtype=bool), resolution=0.25)
+    return (*(generate_world(spec)[0] for spec in specs), open_textured, open_bare)
+
+
+class TestTextureCountsOracle:
+    """The one sampling pass over every ray against the per-ray loop."""
+
+    @given(
+        which=st.integers(0, 5),
+        cell=st.integers(0, 2**32 - 1),
+        offset=st.tuples(st.floats(0.0, 0.999), st.floats(0.0, 0.999)),
+        theta=st.floats(0.0, 7.0),
+        n_rays=st.integers(2, 48),
+        fov=st.one_of(
+            st.floats(1e-3, TWO_PI, exclude_max=True), st.just(float(np.nextafter(TWO_PI, 0.0)))
+        ),
+        # below one sample step, about a step, and rays that end at max_range
+        max_range=st.one_of(st.floats(1e-4, 0.02), st.floats(0.02, 0.2), st.floats(0.2, 12.0)),
+    )
+    @example(which=4, cell=0, offset=(0.5, 0.5), theta=0.0, n_rays=40,
+             fov=float(np.nextafter(TWO_PI, 0.0)), max_range=10.0)
+    @example(which=5, cell=7, offset=(0.0, 0.0), theta=1.0, n_rays=3, fov=2.0, max_range=1e-4)
+    @example(which=0, cell=3, offset=(0.2, 0.7), theta=2.0, n_rays=40, fov=1.9, max_range=0.05)
+    @example(which=0, cell=0, offset=(0.0, 0.0), theta=2.2e-311, n_rays=3,
+             fov=float(np.nextafter(TWO_PI, 0.0)), max_range=0.015625)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_ray_loop(self, which, cell, offset, theta, n_rays, fov, max_range):
+        plan = _sampling_plans()[which]
+        free = np.argwhere(~plan.occupancy)
+        row, col = free[cell % len(free)]
+        x = plan.origin[0] + (col + offset[0]) * plan.resolution
+        y = plan.origin[1] + (row + offset[1]) * plan.resolution
+        assume(plan.in_bounds(x, y) and plan.is_free(x, y))
+        pose = Pose(x, y, theta)
+        fan = render_gt_rays(plan, pose, n_rays=n_rays, fov=fov, max_range=max_range)
+        got = _texture_counts_along_rays(plan, pose, fan)
+        want = _reference_texture_counts(plan, pose, fan, n_rays, fov)
+        assert got.dtype == want.dtype and got.shape == want.shape == (256,)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestRandomProjectionEmbedder:
@@ -399,6 +495,12 @@ class TestRandomProjectionEmbedder:
     def test_dim_validation(self):
         with pytest.raises(ValidationError):
             RandomProjectionEmbedder(dim=1)
+
+    @pytest.mark.parametrize("max_range", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_max_range_rejected(self, max_range):
+        # max_range 0 used to turn an all-zero signature into a NaN embedding
+        with pytest.raises(ValidationError, match="max_range"):
+            RandomProjectionEmbedder(max_range=max_range)
 
     @pytest.mark.parametrize("bad", [1e200, -0.5, 10.5])
     def test_signature_depths_beyond_range_rejected(self, world, bad):
