@@ -314,16 +314,13 @@ def cmd_train_embedder(cfg: RunConfig, args) -> None:
         min_dist=cfg.mining.inner_neg_dist[0],
         seed=cfg.mining.seed,
     )
-    try:
-        embedder, trace = train_linear_embedder(
-            samples,
-            dim=cfg.embedder.dim,
-            epochs=args.epochs,
-            learning_rate=args.learning_rate,
-            seed=cfg.seed,
-        )
-    except ValidationError as exc:
-        raise ConfigurationError(f"bad training values: {exc}") from exc
+    embedder, trace = train_linear_embedder(
+        samples,
+        dim=cfg.embedder.dim,
+        epochs=cfg.embedder.epochs,
+        learning_rate=cfg.embedder.learning_rate,
+        seed=cfg.seed,
+    )
     np.savez(
         os.path.join(args.out, "embedder.npz"),
         weights=embedder.weights,
@@ -412,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-embedder", help="train the linear crop embedder")
     common(p)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--learning-rate", type=float, default=0.5)
+    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--learning-rate", type=float, default=None)
 
     p = sub.add_parser("eval", help="recall report for a predictions CSV")
     common(p)
@@ -472,6 +469,14 @@ def main(argv: list[str] | None = None) -> int:
                     except ValidationError as exc:
                         raise ConfigurationError(f"bad --{param}: {exc}") from exc
                     cfg = replace(cfg, disambig=disambig, crop=crop)
+        if args.command == "train-embedder":
+            for key in ("epochs", "learning_rate"):
+                value = getattr(args, key)
+                if value is not None:
+                    try:
+                        cfg = replace(cfg, embedder=replace(cfg.embedder, **{key: value}))
+                    except ValidationError as exc:
+                        raise ConfigurationError(f"bad --{key.replace('_', '-')}: {exc}") from exc
         if getattr(args, "threads", None) is not None and args.threads < 1:
             raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
         running = True

@@ -134,12 +134,20 @@ class BenchParams:
 class EmbedderParams:
     dim: int = 64
     seed: int = 7
+    epochs: int = 100  # train-embedder
+    learning_rate: float = 0.5  # train-embedder
 
     def __post_init__(self):
         if self.dim < 2:
             raise ValidationError(f"dim must be >= 2, got {self.dim}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        if self.epochs < 1:
+            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValidationError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ OCCUPANCY_TEXTURE = "occupancy+texture"
 
 PAD_OCCUPANCY = 1  # outside the building behaves like wall
 PAD_TEXTURE = 0
+_PAD = PAD_OCCUPANCY | PAD_TEXTURE << 8  # a padded cell of the crop canvas
 
 # the one pooled layout of every crop embedder (pool_crop): one feature per
 # texture id in 1..N_TEXTURE_IDS, and maps block-averaged to POOL_BLOCKS x POOL_BLOCKS
@@ -100,62 +101,70 @@ def extract_crop(plan: FloorPlan, pose: Pose, spec: CropSpec) -> Crop:
     Sample points are pixel centers; with an odd out_px and meters_per_px
     equal to the map resolution they land exactly on cell centers, which makes
     quarter-turn rotations of the pose exact quarter-turns of the raster.
-    Offsets are cached per (out_px, meters_per_px); a channel is one flat take.
+    Offsets are cached per (out_px, meters_per_px), and both channels are one
+    flat take from the plan's padded canvas (:meth:`FloorPlan._crop_canvas`).
+    Every sample lies within the window's half-diagonal D of a pose inside the
+    map, so its cell is at most ceil(D / resolution) cells outside the map,
+    plus one for the rounding of its coordinates: that is the canvas margin.
     """
     if not plan.in_bounds(pose.x, pose.y):
         raise OutOfBoundsError(f"crop pose ({pose.x}, {pose.y}) outside map")
     px = spec.resolve_px(plan)
     mpp = spec.side_m / px
     u_loc, v_loc = _sample_offsets(px, mpp)
+    half = (px - 1) / 2.0 * mpp
+    canvas, margin = plan._crop_canvas(
+        math.ceil(math.hypot(half, half) / plan.resolution) + 1, _PAD
+    )
     cos_t = math.cos(pose.theta)
     sin_t = math.sin(pose.theta)
     # local up -> facing direction, local right -> 90 deg clockwise from it
-    wx = pose.x + u_loc * sin_t + v_loc * cos_t
-    wy = pose.y - u_loc * cos_t + v_loc * sin_t
-
-    cols = np.floor((wx - plan.origin[0]) / plan.resolution).astype(np.int64)
-    rows = np.floor((wy - plan.origin[1]) / plan.resolution).astype(np.int64)
-    outside = cols.view(np.uint64) >= plan.width_cells  # negative: a huge unsigned
-    outside |= rows.view(np.uint64) >= plan.height_cells
-    flat = rows * plan.width_cells + cols  # garbage where outside, padded below
-    layers = [(plan.occupancy.view(np.uint8), PAD_OCCUPANCY), (plan.texture, PAD_TEXTURE)]
-    layers = layers[: 1 if spec.channels == OCCUPANCY_ONLY else 2]
-    pixels = np.empty((px, px, len(layers)), dtype=np.uint8)
-    for out, (layer, pad) in zip(np.moveaxis(pixels, 2, 0), layers):
-        if layer is None:  # an untextured plan
-            out.fill(pad)
-            continue
-        np.take(layer.reshape(-1), flat, out=out, mode="clip")
-        np.copyto(out, pad, where=outside)
+    cols = np.add(pose.x + u_loc * sin_t, v_loc * cos_t)
+    rows = np.add(pose.y - u_loc * cos_t, v_loc * sin_t)
+    for coord, origin in ((cols, plan.origin[0]), (rows, plan.origin[1])):
+        np.subtract(coord, origin, out=coord)
+        np.divide(coord, plan.resolution, out=coord)
+        np.floor(coord, out=coord)
+    # integer-valued floats far below 2**53: the flat canvas index is exact
+    rows *= plan.width_cells + 2 * margin
+    rows += cols
+    rows += margin * (plan.width_cells + 2 * margin + 1)
+    pixels = canvas.take(rows.astype(np.intp)).view(np.uint8).reshape(px, px, 2)
+    if spec.channels == OCCUPANCY_ONLY:
+        pixels = pixels[:, :, :1]
     return Crop(pixels=pixels, meters_per_px=mpp, source_pose=pose)
 
 
 @functools.lru_cache(maxsize=64)
-def _pool_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only flat block id of each pixel of an (n, n) crop, and each block's
-    pixel count, 1 for an empty block (its sums are 0, so it pools to 0.0)."""
+def _pool_blocks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only layout of an (n, n) crop's blocks: the (POOL_BLOCKS, n)
+    0/1 matrix of which rows (or columns) each block spans, each pixel's flat
+    block id as an intp, and each block's pixel count, 1 for an empty block
+    (its sums are 0, so it pools to 0.0)."""
     edges = np.linspace(0, n, POOL_BLOCKS + 1).astype(int)
-    of_pixel = np.repeat(np.arange(POOL_BLOCKS, dtype=np.uint16), np.diff(edges))
+    of_pixel = np.repeat(np.arange(POOL_BLOCKS, dtype=np.intp), np.diff(edges))
+    spans = (of_pixel == np.arange(POOL_BLOCKS)[:, None]).astype(float)
     block = (of_pixel[:, None] * POOL_BLOCKS + of_pixel[None, :]).ravel()
     divisor = np.maximum(np.bincount(block, minlength=POOL_BLOCKS * POOL_BLOCKS), 1)
-    for a in (block, divisor):
+    for a in (spans, block, divisor):
         a.setflags(write=False)
-    return block, divisor
+    return spans, block, divisor
 
 
 def pool_crop(crop: Crop) -> tuple[np.ndarray, np.ndarray]:
     """``(means, totals)``: row 0 of the ``(1 + N_TEXTURE_IDS, POOL_BLOCKS ** 2)``
     means is each block's mean occupancy, row k its share of texture id k (other
     ids are dropped); ``totals`` is each row's exact integer sum over the crop.
-    Block edges are ``linspace(0, n, POOL_BLOCKS + 1)`` truncated to integers."""
-    block, divisor = _pool_blocks(crop.out_px)
+    Block edges are ``linspace(0, n, POOL_BLOCKS + 1)`` truncated to integers.
+    Every sum is of integers far below 2**53, so it is exact in any order."""
+    spans, block, divisor = _pool_blocks(crop.out_px)
     nb = POOL_BLOCKS * POOL_BLOCKS
     sums = np.zeros((1 + N_TEXTURE_IDS, nb))
-    sums[0] = np.bincount(block, weights=crop.occupancy().ravel(), minlength=nb)
+    sums[0] = (spans @ crop.occupancy() @ spans.T).ravel()
     tex = crop.texture()
     if tex is not None:
-        # widen before the key: a uint8 id times nb wraps
-        keys = tex.astype(np.uint16).ravel() * nb + block
+        keys = np.multiply(tex, nb, dtype=np.intp).reshape(-1)  # a uint8 product wraps
+        keys += block
         sums[1:] = np.bincount(keys, minlength=sums.size)[nb : sums.size].reshape(-1, nb)
     return sums / divisor, sums.sum(axis=1)
 

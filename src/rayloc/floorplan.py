@@ -132,6 +132,22 @@ class FloorPlan:
         cells[1:-1, 1:-1] = self.occupancy
         return np.tile(cells.ravel(), 4), _clearance(cells != _FREE).ravel()
 
+    def _crop_canvas(self, margin: int, pad: int) -> tuple[np.ndarray, int]:
+        """What crops sample, flat and read-only, with the margin it has (at
+        least ``margin``): one ``'<u2'`` per cell, occupancy in the low byte
+        and texture (the pad's on an untextured plan) in the high byte, padded
+        with ``pad`` for ``margin`` cells on every side. One canvas per plan,
+        rebuilt only when a crop needs a wider margin."""
+        cached = self.__dict__.get("_canvas")
+        if cached is None or cached[1] < margin:
+            h, w = self.height_cells, self.width_cells
+            canvas = np.full((h + 2 * margin, w + 2 * margin), pad, dtype="<u2")
+            texture = pad >> 8 if self.texture is None else self.texture.astype("<u2")
+            canvas[margin : margin + h, margin : margin + w] = self.occupancy | texture << 8
+            canvas.setflags(write=False)
+            cached = self.__dict__["_canvas"] = (canvas.reshape(-1), margin)
+        return cached
+
     @functools.cached_property
     def _free_cells(self) -> np.ndarray:
         """(row, col) of every free cell in row-major order, read-only."""

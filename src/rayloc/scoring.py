@@ -291,24 +291,31 @@ def argmax_pose(pmap: ProbMap) -> Pose:
 
 def top_x(pmap: ProbMap, x: int = 100) -> CandidateSet:
     """The x highest-probability free poses (all of them if fewer), with the
-    same tie rule as argmax_pose."""
+    same tie rule as argmax_pose; poses by :meth:`ProbMap.pose_of_flat_index`'s
+    arithmetic."""
     if x < 1:
         raise ValidationError(f"x must be >= 1, got {x}")
-    flat = pmap.values.reshape(-1)
-    n_ori = pmap.spec.n_orientations
-    free_flat = np.flatnonzero(np.repeat(pmap.mask.reshape(-1), n_ori))
-    if free_flat.size == 0:
+    _, cols, n_ori = pmap.values.shape
+    free = np.flatnonzero(pmap.mask)
+    if free.size == 0:
         raise EmptyDomainError("probability map has no free poses")
-    scores = flat[free_flat]
+    scores = pmap.values.reshape(-1, n_ori).take(free, axis=0).reshape(-1)  # in index order
     k = min(x, scores.size)
     # the k-th largest score, then every score above it and the lowest-index
     # ones equal to it: the first k of a stable descending sort, in any order
     kth = np.partition(scores, scores.size - k)[scores.size - k]
-    above = np.flatnonzero(scores > kth)
-    picked = np.concatenate([above, np.flatnonzero(scores == kth)[: k - above.size]])
-    chosen = free_flat[picked[np.lexsort((picked, -scores[picked]))]]
-    poses = tuple(pmap.pose_of_flat_index(i) for i in chosen)
-    return CandidateSet(poses=poses, scores=flat[chosen], linear_indices=chosen)
+    at_least = np.flatnonzero(scores >= kth)
+    above = scores[at_least] > kth
+    picked = np.concatenate([at_least[above], at_least[~above][: k - np.count_nonzero(above)]])
+    picked = picked[np.lexsort((picked, -scores[picked]))]
+    cell, o = np.divmod(picked, n_ori)
+    rc = free[cell]
+    r, c = np.divmod(rc, cols)
+    xs = pmap.origin[0] + (c + 0.5) * pmap.spec.cell_stride
+    ys = pmap.origin[1] + (r + 0.5) * pmap.spec.cell_stride
+    thetas = TWO_PI * o / n_ori
+    poses = tuple(map(Pose, xs.tolist(), ys.tolist(), thetas.tolist()))
+    return CandidateSet(poses=poses, scores=scores[picked], linear_indices=rc * n_ori + o)
 
 
 # ---------------------------------------------------------------------------

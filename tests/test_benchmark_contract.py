@@ -12,6 +12,7 @@ import importlib
 import importlib.util
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +76,15 @@ def test_twin_warm_path_observes_every_layer():
                 sigma=SIGMA, scorer=scorer, n_rays=N_RAYS, fov=FOV, max_range=MAX_RANGE,
             )
             assert np.isfinite(result.dafpm.values).all()
+            assert len(result.candidates) == 100
     assert _unobserved(tracing.TWIN, tracer.spans, units=2) == []
+    # perfbench's per-request .calls and per-call .us assume one call per
+    # crop and per embedding, and one top_x, in every localize
+    for i in range(2):
+        calls = Counter(span[tracing.NAME] for span in tracer.spans if span[tracing.REQUEST] == i)
+        assert (calls["crops.extract_crop"], calls["synth.embed_crop"], calls["scoring.top_x"]) == (
+            100, 100, 1,
+        )
 
 
 def test_corridor_cold_path_observes_every_layer(tmp_path):

@@ -201,6 +201,9 @@ class TestParseConfig:
             ("bench", "n_anchors", 0),
             ("bench", "sigma_m", 0.0),
             ("embedder", "dim", 1),
+            ("embedder", "epochs", 0),
+            ("embedder", "learning_rate", 0.0),
+            ("embedder", "learning_rate", -0.5),
         ],
     )
     def test_range_checks(self, section, key, value):
@@ -886,6 +889,21 @@ class TestCliInputErrors:
             assert error["type"] == "ConfigurationError"
             assert name in error["message"]
             assert not (out / "embedder.npz").exists()
+
+    def test_echo_reproduces_a_training_run(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bench": {"n_anchors": 4, "n_worlds": 2}}))
+        first, again = tmp_path / "first", tmp_path / "again"
+        flags = ["--epochs", "3", "--learning-rate", "0.25"]
+        assert main(["train-embedder", "--config", str(cfg), *flags, "--out", str(first)]) == 0
+        echo = first / "resolved_config.json"
+        embedder = json.loads(echo.read_text())["embedder"]
+        assert (embedder["epochs"], embedder["learning_rate"]) == (3, 0.25)
+        assert len((first / "loss_trace.csv").read_text().splitlines()) == 1 + 3
+        # the echo alone, with no flags, trains the same model
+        assert main(["train-embedder", "--config", str(echo), "--out", str(again)]) == 0
+        for name in ("embedder.npz", "loss_trace.csv", "resolved_config.json"):
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
     def test_depth_beyond_range_is_runtime_error(
         self, generated_world, small_config_path, simulated, tmp_path, monkeypatch

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from rayloc import crops
 from rayloc.contrastive import LinearEmbedder, crop_features
 from rayloc.crops import (
     N_TEXTURE_IDS,
@@ -170,6 +171,12 @@ _ORACLE_PLANS = [
         resolution=0.25,
         origin=(-1.3, 2.2),
     ),
+    FloorPlan(  # fine cells: 0.4 x 0.3 m, far smaller than most windows
+        occupancy=np.random.default_rng(1).random((30, 40)) < 0.3,
+        resolution=0.01,
+        origin=(0.5, -0.25),
+        texture=np.random.default_rng(2).integers(0, 256, (30, 40)),
+    ),
 ]
 
 
@@ -188,6 +195,16 @@ class TestExtractCropOracle:
              channels=OCCUPANCY_TEXTURE)  # the localizer's default crop
     @example(plan_index=2, fx=0.0, fy=0.0, theta=2.0, side_m=8.0, out_px=7,
              channels=OCCUPANCY_TEXTURE)  # corner pose, window far past the map
+    @example(plan_index=0, fx=0.0, fy=0.0, theta=math.pi / 4, side_m=5.0, out_px=None,
+             channels=OCCUPANCY_TEXTURE)  # corner pose, the diagonal out of the map
+    @example(plan_index=3, fx=0.5, fy=0.5, theta=1.0, side_m=8.0, out_px=None,
+             channels=OCCUPANCY_TEXTURE)  # 800 px whose half-diagonal is 14x the map's width
+    @example(plan_index=3, fx=0.0, fy=0.999, theta=math.pi / 4, side_m=3.0, out_px=61,
+             channels=OCCUPANCY_ONLY)  # corner pose of the fine map
+    @example(plan_index=1, fx=0.3, fy=0.6, theta=0.5, side_m=5.0, out_px=None,
+             channels=OCCUPANCY_ONLY)  # untextured plan, occupancy only
+    @example(plan_index=1, fx=0.3, fy=0.6, theta=0.5, side_m=9.0, out_px=None,
+             channels=OCCUPANCY_TEXTURE)  # untextured plan, padded texture channel
     def test_matches_reference(self, plan_index, fx, fy, theta, side_m, out_px, channels):
         plan = _ORACLE_PLANS[plan_index]
         pose = Pose(plan.origin[0] + fx * plan.width_m, plan.origin[1] + fy * plan.height_m, theta)
@@ -198,6 +215,41 @@ class TestExtractCropOracle:
         assert crop.pixels.shape == expected.shape and crop.pixels.dtype == np.uint8
         assert crop.pixels.tobytes() == expected.tobytes()
         assert crop.meters_per_px == spec.side_m / spec.resolve_px(plan)
+        if plan.texture is None and channels == OCCUPANCY_TEXTURE:
+            assert np.all(crop.texture() == PAD_TEXTURE)
+
+    def test_canvas_is_read_only_built_once_and_widened_on_demand(self):
+        rng = np.random.default_rng(4)
+        plan = FloorPlan(
+            occupancy=rng.random((6, 9)) < 0.4, resolution=0.1, texture=rng.integers(0, 256, (6, 9))
+        )
+        assert "_canvas" not in plan.__dict__  # nothing is built before the first crop
+        pose = Pose(0.45, 0.25, 0.3)
+
+        def canvas():
+            return plan._crop_canvas(0, crops._PAD)  # the one it holds: 0 never widens it
+
+        extract_crop(plan, pose, CropSpec(side_m=1.0))
+        first, margin = canvas()
+        # 10 px of 0.1 m: a half-diagonal of 0.45 * sqrt(2) m, 6.4 cells, so 7 + 1
+        assert margin == 8
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0
+        grid = first.reshape(6 + 2 * margin, 9 + 2 * margin)
+        inner = grid[margin:-margin, margin:-margin]
+        assert np.array_equal(inner & 0xFF, plan.occupancy) and np.array_equal(inner >> 8, plan.texture)
+        ring = grid.copy()
+        ring[margin:-margin, margin:-margin] = crops._PAD
+        assert np.all(ring == crops._PAD)
+        for side_m in (1.0, 0.5, 0.2):  # no wider margin: the same canvas
+            extract_crop(plan, pose, CropSpec(side_m=side_m))
+            assert canvas()[0] is first
+        extract_crop(plan, pose, CropSpec(side_m=3.0))
+        wide, wide_margin = canvas()
+        assert wide is not first and wide_margin == 22 and not wide.flags.writeable
+        extract_crop(plan, pose, CropSpec(side_m=1.0))
+        assert canvas()[0] is wide  # a narrower crop reads the wider canvas
 
 
 class TestExportCrop:

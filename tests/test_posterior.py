@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rayloc import crops, scoring
@@ -415,6 +415,24 @@ def _stable_top_x(
     return free_flat[order[np.lexsort((order, group))][:x]]
 
 
+def _assert_grid_candidates(pmap: ProbMap, candidates: CandidateSet) -> None:
+    """Each candidate's pose is pose_of_flat_index of its linear index and its
+    score is that entry of the map, bit for bit, as Python floats."""
+    for pose, score, index in zip(candidates.poses, candidates.scores, candidates.linear_indices):
+        expected = pmap.pose_of_flat_index(index)
+        assert all(type(v) is float for v in (pose.x, pose.y, pose.theta))
+        assert np.array([pose.x, pose.y, pose.theta]).tobytes() == np.array(
+            [expected.x, expected.y, expected.theta]
+        ).tobytes()
+        assert score.tobytes() == pmap.values.flat[index].tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def _twin_scorer() -> GridScorer:
+    plan, _ = generate_world(WorldSpec(extent=(6.0, 4.0), seed=0))
+    return GridScorer(plan, PoseGridSpec(cell_stride=0.2, n_orientations=36), n_rays=8)
+
+
 class TestIntegerScoring:
     @settings(max_examples=30)
     @given(
@@ -445,9 +463,33 @@ class TestIntegerScoring:
         # pose sums the same errors in another order), so the reference treats
         # scores within rounding as tied; distinct sums differ by >= 4e-8
         # relative here.
-        chosen = top_x(pmap, x).linear_indices
+        candidates = top_x(pmap, x)
         expected_top = _stable_top_x(expected, scorer.mask, x, rtol=1e-12)
-        assert chosen.tolist() == expected_top.tolist()
+        assert candidates.linear_indices.tolist() == expected_top.tolist()
+        _assert_grid_candidates(pmap, candidates)
+
+    # the float oracle above does not shift by the smallest sum, so where scores
+    # underflow it disagrees with the scorer (or divides 0 by 0); here the map
+    # is its own oracle
+    @settings(max_examples=25)
+    @given(
+        sigma=st.floats(1e-5, 1e-3),
+        pred_seed=st.integers(0, 2**32 - 1),
+        past_cut=st.integers(1, 40),
+    )
+    @example(sigma=1e-4, pred_seed=0, past_cut=25)
+    def test_scores_underflowed_to_zero_keep_the_tie_rule(self, sigma, pred_seed, past_cut):
+        scorer = _twin_scorer()
+        pred = np.random.default_rng(pred_seed).uniform(0.0, scorer.max_range, scorer.n_rays)
+        pmap = scorer.score(pred, sigma)
+        positive = int(np.count_nonzero(pmap.values))
+        assume(positive + past_cut <= scorer.n_free * scorer.grid.n_orientations)
+        x = positive + past_cut  # the cut falls among free poses scored exactly 0
+        candidates = top_x(pmap, x)
+        assert candidates.scores[positive - 1] > 0 and not candidates.scores[positive:].any()
+        expected = _stable_top_x(pmap.values, scorer.mask, x)
+        assert candidates.linear_indices.tolist() == expected.tolist()
+        _assert_grid_candidates(pmap, candidates)
 
     def test_small_sigma_keeps_twin_tie_and_argmax(self):
         plan, _ = generate_world(WorldSpec(extent=(6.0, 4.0), seed=0))  # twin rooms
@@ -652,7 +694,9 @@ class TestSelection:
         pmap = ProbMap(values=raw / raw.sum(), spec=PoseGridSpec(0.5, shape[2]), mask=mask)
         for x in range(1, raw.size + 2):
             expected = _stable_top_x(pmap.values, mask, x)
-            assert top_x(pmap, x).linear_indices.tolist() == expected.tolist()
+            candidates = top_x(pmap, x)
+            assert candidates.linear_indices.tolist() == expected.tolist()
+            _assert_grid_candidates(pmap, candidates)
 
     def test_x_larger_than_grid_saturates(self):
         pmap = _uniform_probmap(2, 2, 2)
