@@ -49,6 +49,11 @@ class PerturbSpec:
 
 @dataclass(frozen=True)
 class MiningSpec:
+    """Negative mining. The ``n_ori`` orientation-level negatives are the
+    anchor's pose turned in place by ``ori_neg_rotation * 2j / (n_ori + 1)``
+    for j = 1..n_ori: evenly spaced turns centred on ``ori_neg_rotation``, so
+    the default pi gives 180 degrees for one and 90, 180 and 270 for three."""
+
     inner_neg_dist: tuple[float, float] = (1.5, 3.0)  # meters from GT
     ori_neg_rotation: float = math.pi
     n_inner: int = 1
@@ -331,10 +336,9 @@ def mine_samples(
         position_negatives.append(extract_crop(other_plan, pose, crop))
         cross_indices.append(other)
 
-    orientation_negatives = [
-        extract_crop(plan, gt.rotated(mining.ori_neg_rotation), crop)
-        for _ in range(mining.n_ori)
-    ]
+    n_ori = mining.n_ori
+    turns = [mining.ori_neg_rotation * (2 * j / (n_ori + 1)) for j in range(1, n_ori + 1)]
+    orientation_negatives = [extract_crop(plan, gt.rotated(turn), crop) for turn in turns]
     return MinedSample(
         positive=positive,
         position_negatives=tuple(position_negatives),

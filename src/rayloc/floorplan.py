@@ -35,8 +35,6 @@ DEFAULT_FOV = math.radians(108.0)  # horizontal field of view
 
 WALL_THRESHOLD = 128  # a pixel below 128 on the 0-255 scale is a wall
 
-# cell codes of the padded grid that cast_rays walks
-_FREE, _WALL, _OUTSIDE = 0, 1, 2
 _STEP_BUDGET = 64  # stencil steps first generated per ray, doubled per segment
 _SEGMENT_ENTRIES = 1 << 18  # most stencil steps generated at once
 
@@ -124,13 +122,18 @@ class FloorPlan:
         return 0 <= row < self.height_cells and 0 <= col < self.width_cells
 
     @functools.cached_property
-    def _walk_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """What :func:`cast_rays` walks, flat and once per quadrant: the cell
-        codes of the occupancy grid padded with a one-cell ``_OUTSIDE`` ring,
-        and each padded cell's :func:`_clearance` in that quadrant."""
-        cells = np.full((self.height_cells + 2, self.width_cells + 2), _OUTSIDE, dtype=np.uint8)
-        cells[1:-1, 1:-1] = self.occupancy
-        return np.tile(cells.ravel(), 4), _clearance(cells != _FREE).ravel()
+    def _walk_grid(self) -> np.ndarray:
+        """What :func:`cast_rays` walks, flat, one copy per quadrant: each
+        cell of the occupancy grid padded with a one-cell off-map ring holds
+        its :func:`_clearance` in that quadrant when free, 0 when a wall and
+        -1 on the ring. int16 when every clearance (at most h + w + 2) fits,
+        else int32: 8 or 16 bytes per padded cell."""
+        h, w = self.height_cells, self.width_cells
+        blocked = np.ones((h + 2, w + 2), dtype=bool)
+        blocked[1:-1, 1:-1] = self.occupancy
+        plane = _clearance(blocked, np.int16 if h + w + 2 < 2**15 else np.int32)
+        plane[:, [0, -1], :] = plane[:, :, [0, -1]] = -1
+        return plane.reshape(-1)
 
     def _crop_canvas(self, margin: int, pad: int) -> tuple[np.ndarray, int]:
         """What crops sample, flat and read-only, with the margin it has (at
@@ -224,15 +227,16 @@ def ray_bearings(theta: float, n_rays: int, fov: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _clearance(blocked: np.ndarray) -> np.ndarray:
+def _clearance(blocked: np.ndarray, dtype=np.int32) -> np.ndarray:
     """Per quadrant q = (step_x < 0) + 2 * (step_y < 0) and cell: the fewest
     unit steps in that quadrant's two directions (+-1 column, +-1 row) from
     the cell to a True cell of ``blocked``, 0 on those. A ray heading into
     quadrant q from a cell of clearance c therefore enters only free cells
     in its next c - 1 steps. Every path must end on a True cell (a blocked
-    outer ring ensures it); ``(4, h, w)``."""
+    outer ring ensures it, and bounds every clearance by h + w); ``(4, h, w)``
+    of ``dtype``."""
     h, w = blocked.shape
-    out = np.empty((4, h, w), dtype=np.int32)
+    out = np.empty((4, h, w), dtype=dtype)
     cols = np.arange(w)
     for q in range(4):
         view = (slice(None, None, -1 if q & 2 else 1), slice(None, None, -1 if q & 1 else 1))
@@ -244,45 +248,72 @@ def _clearance(blocked: np.ndarray) -> np.ndarray:
     return out
 
 
+def _index_dtype(n_rays: int, h: int, w: int, n_stencils: int) -> type:
+    """The one index-width rule of :func:`cast_rays`, whose ray state holds
+    three indices per ray: its flat index into the batch (below ``n_rays``);
+    its cell in the walk plane, which an out-of-range crossing moves past
+    the plane by the plane's size (below 8 (h + 2) (w + 2)); and its position
+    in a segment's (step, stencil) table, at most a segment of h + w + 2
+    steps plus one clearance jump (below 2 (h + w + 3) ``n_stencils``).
+    int32 when every bound is at most 2**31, else int64."""
+    bound = max(n_rays, 8 * (h + 2) * (w + 2), 2 * (h + w + 3) * n_stencils)
+    return np.int32 if bound <= 2**31 else np.int64
+
+
 def _stencil_rays(
     plan: FloorPlan, xs: np.ndarray, ys: np.ndarray, bearings: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
-    """The rays of a :func:`cast_rays` batch whose origins lie in the map:
-    their flat indices into the broadcast batch, their start indices into
-    ``plan._walk_grid`` (in their quadrant's copy) and their stencils; and the
-    stencils' traversal state before the first step, as
-    :func:`_extend_stencils` takes it."""
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The rays of a :func:`cast_rays` batch whose origins lie in the map,
+    as the rows of one ``(3, n)`` array of :func:`_index_dtype`: their flat
+    indices into the broadcast batch, their start cells in
+    ``plan._walk_grid`` (in their quadrant's copy) and their stencils; and
+    the stencils' traversal state before the first step, as
+    :func:`_extend_stencils` takes it. A batch with one origin gives each
+    bearing its own stencil, without the passes that class keys and
+    bearings."""
     shape = np.broadcast_shapes(xs.shape, ys.shape, bearings.shape)
+    size = math.prod(shape)
     h, w = plan.height_cells, plan.width_cells
     px, py = (xs - plan.origin[0]) / plan.resolution, (ys - plan.origin[1]) / plan.resolution
     fx, fy = np.floor(px), np.floor(py)
     inside = (fx >= 0) & (fx < w) & (fy >= 0) & (fy < h)
-    start = np.where(inside, (fy + 1) * (w + 2) + fx + 1, 0).astype(np.intp)
     # an origin's key: floor(p) - p and floor(p) + 1 - p per axis (+ 0.0: no
     # negative zero, as from an integer cell), on which every float of its
     # traversal depends; equal keys are equal bytes
     key = np.empty(inside.shape + (4,))
     key[..., 0], key[..., 1] = (fx + 0.0) - px, (fx + 1.0) - px
     key[..., 2], key[..., 3] = (fy + 0.0) - py, (fy + 1.0) - py
-    keys, pair_of = np.unique(key.reshape(-1, 4).view("V32"), return_inverse=True)
-    keys = keys.view(float).reshape(-1, 4)
-    angles, angle_of = np.unique(bearings, return_inverse=True)
-
-    # a stencil per (key pair, bearing) in use: every combination when there
-    # are no more of those than rays, else only those that occur
-    ids = np.flatnonzero(np.broadcast_to(inside, shape))
-    stencil = (
-        np.broadcast_to(pair_of.reshape(inside.shape) * angles.size, shape).reshape(-1)[ids]
-        + np.broadcast_to(angle_of.reshape(bearings.shape), shape).reshape(-1)[ids]
-    )
-    if keys.shape[0] * angles.size <= ids.size:
-        stencils = np.arange(keys.shape[0] * angles.size)
+    if inside.size == 1:
+        keys, pair_of = key.reshape(1, 4), np.zeros(inside.shape, dtype=np.intp)
+        angles, angle_of = bearings.reshape(-1), np.arange(bearings.size)
     else:
-        stencils, stencil = np.unique(stencil, return_inverse=True)
-    pair, angle = np.divmod(stencils, angles.size)
+        keys, pair_of = np.unique(key.reshape(-1, 4).view("V32"), return_inverse=True)
+        keys = keys.view(float).reshape(-1, 4)
+        angles, angle_of = np.unique(bearings, return_inverse=True)
+    index = _index_dtype(size, h, w, min(keys.shape[0] * angles.size, size))
     dx, dy = np.cos(angles), np.sin(angles)
     # a subnormal component (its 1 / d overflows) never reaches a grid line in range
     dx, dy = (np.where(np.abs(d) < np.finfo(float).tiny, 0.0, d) for d in (dx, dy))
+    quadrant = ((dx < 0) + 2 * (dy < 0)) * ((h + 2) * (w + 2))
+
+    # a ray's start cell and stencil, each one broadcast add over the batch:
+    # a stencil per (key, bearing) pair
+    rays = np.empty((3, size), dtype=index)
+    rays[0] = np.arange(size, dtype=index)
+    start = np.where(inside, (fy + 1) * (w + 2) + fx + 1, 0).astype(index)
+    np.add(start, quadrant.astype(index)[angle_of].reshape(bearings.shape),
+           out=rays[1].reshape(shape))
+    np.add((pair_of * angles.size).astype(index).reshape(inside.shape),
+           angle_of.astype(index).reshape(bearings.shape), out=rays[2].reshape(shape))
+    if not inside.all():
+        rays = rays.compress(np.broadcast_to(inside, shape).reshape(-1), axis=1)
+    # every pair's stencil when there are no more of those than rays, else
+    # only those that occur
+    if keys.shape[0] * angles.size <= rays.shape[1]:
+        stencils = np.arange(keys.shape[0] * angles.size)
+    else:
+        stencils, rays[2] = np.unique(rays[2], return_inverse=True)
+    pair, angle = np.divmod(stencils, angles.size)
     # 1 / d, and 0 where an axis never steps so that _extend_stencils adds 0
     inv_dx = np.divide(1.0, dx, out=np.zeros_like(dx), where=dx != 0)
     inv_dy = np.divide(1.0, dy, out=np.zeros_like(dy), where=dy != 0)
@@ -290,16 +321,13 @@ def _stencil_rays(
     t_max_x = keys[pair, (dx > 0).astype(int)[angle]] * inv_dx[angle]
     t_max_y = keys[pair, (dy > 0).astype(int)[angle] + 2] * inv_dy[angle]
     t_max = np.where(np.stack([dx, dy])[:, angle] != 0, np.stack([t_max_x, t_max_y]), np.inf)
-    quadrant = ((dx < 0) + 2 * (dy < 0)) * ((h + 2) * (w + 2))
-    base = np.broadcast_to(start, shape).reshape(-1)[ids] + quadrant[angle][stencil]
-    index = np.int32 if 4 * (h + 2) * (w + 2) < 2**31 else np.int64
     state = [
         t_max, np.abs(np.stack([inv_dx, inv_dy]))[:, angle],
         np.where(dx >= 0, 1, -1).astype(index)[angle],
         np.where(dy >= 0, w + 2, -(w + 2)).astype(index)[angle],
         np.zeros(stencils.size, dtype=index),
     ]
-    return ids, base, stencil, state
+    return rays, state
 
 
 def _extend_stencils(state: list[np.ndarray], m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -371,15 +399,17 @@ def cast_rays(
     depth = np.full(np.broadcast_shapes(xs.shape, ys.shape, bearings.shape), float(max_range))
     hit = np.zeros(depth.shape, dtype=bool)
     flat_depth, flat_hit = depth.reshape(-1), hit.reshape(-1)
-    cells, clearance = plan._walk_grid
+    plane = plan._walk_grid
     range_cells = max_range / plan.resolution
-    ids, base, stencil, state = _stencil_rays(plan, xs, ys, bearings)
-    # per live ray: its flat index into the batch, its start index into cells
-    # and its position in a segment's flat (step, stencil) table
-    rays = np.stack([ids, base, np.maximum(clearance.take(base), 1) - 1])
-    rays[2] *= state[-1].size
-    rays[2] += stencil
-    del ids, base, stencil
+    # per live ray: its flat index into the batch, its start cell in the plane
+    # and, once the stencils are numbered, its position in a segment's flat
+    # (step, stencil) table: past the start cell's clearance
+    rays, state = _stencil_rays(plan, xs, ys, bearings)
+    first = plane.take(rays[1])
+    first[first < 1] = 1
+    first -= 1
+    rays[2] += np.multiply(first, state[-1].size, dtype=rays.dtype)
+    del first
     # a crossing count within range_cells is at most 2 * range_cells + 2
     cap = int(min(plan.height_cells + plan.width_cells + 2, 2 * range_cells + 2))
     done = 0  # steps of every stencil generated so far
@@ -388,25 +418,36 @@ def cast_rays(
         n = state[-1].size
         m = min(cap - done, max(1, min(budget * rays.shape[1], _SEGMENT_ENTRIES) // n))
         offsets, crossings = _extend_stencils(state, m)
-        offsets[crossings >= range_cells] = cells.size  # read as outside, below
+        offsets[crossings >= range_cells] = plane.size  # read as off the map, below
+        last = done + m >= cap
+        if last:  # a ray past the last segment is done: it reads one more sentinel
+            offsets = np.append(offsets, offsets.dtype.type(plane.size))
         waiting = []
         while rays.shape[1]:
-            beyond = rays[2] >= m * n
-            if beyond.any():
-                waiting.append(rays[:, beyond])
-                rays = rays[:, ~beyond]
-            lin = rays[1] + offsets.take(rays[2])
-            code = cells.take(lin, mode="clip")  # a sentinel reads the last, outside cell
-            wall = (code == _WALL).nonzero()[0]
+            if not last:
+                beyond = rays[2] >= m * n
+                if beyond.any():
+                    waiting.append(rays.compress(beyond, axis=1))
+                    rays = rays.compress(~beyond, axis=1)
+            cell = np.add(offsets.take(rays[2], mode="clip"), rays[1], dtype=np.intp)
+            jump = plane.take(cell, mode="clip")  # a sentinel reads the last, off-map cell
+            del cell
+            wall = np.flatnonzero(jump == 0)  # few: one index for both rows
             if wall.size:
-                ids = rays[0].take(wall)
+                ids = rays[0].take(wall).astype(np.intp)  # scatters fastest as intp
                 flat_depth[ids] = crossings.take(rays[2].take(wall)) * plan.resolution
                 flat_hit[ids] = True
-            go = (code == _FREE).nonzero()[0]
-            rays = rays.take(go, axis=1)
-            rays[2] += np.multiply(clearance.take(lin.take(go)), n, dtype=np.intp)
+            del wall
+            # every ray jumps; those that hit or left the map then drop out,
+            # the others moving to the front of the state they already hold
+            rays[2] += np.multiply(jump, n, dtype=rays.dtype)
+            go = np.flatnonzero(jump > 0)
+            del jump
+            for row in rays:
+                np.take(row, go, out=row[: go.size])
+            rays = rays[:, : go.size]
         done += m
-        if not waiting or done >= cap:
+        if not waiting:
             break
         # the waiting rays whose stencils ended this segment in range go on
         rays = np.concatenate(waiting, axis=1)
@@ -414,11 +455,10 @@ def cast_rays(
         stencil = rays[2] % n
         live = crossings[(m - 1) * n + stencil] < range_cells
         del waiting, offsets, crossings  # before the next segment is allocated
-        live = live.nonzero()[0]
-        rays, stencil = rays.take(live, axis=1), stencil.take(live)
+        rays, stencil = rays.compress(live, axis=1), stencil.compress(live)
         needed = np.zeros(n, dtype=bool)
         needed[stencil] = True
-        state = [a.take(needed.nonzero()[0], axis=-1) for a in state]
+        state = [a.compress(needed, axis=-1) for a in state]
         rays[2] = rays[2] // n * state[-1].size + (np.cumsum(needed) - 1)[stencil]
         budget *= 2
     return depth, hit

@@ -38,9 +38,11 @@ MAX_TABLE_RANGE = (2**31 - 1) * DEPTH_QUANTUM  # meters; the largest int32 depth
 
 PROBMAP_MAGIC = b"DPMF"
 
-BLOCK_RAYS = 50_000  # rays cast per table-build block, as every free cell times a
-# run of bearings: big enough that cells share traversal stencils, small
-# enough that two blocks in flight stay small beside the table
+BLOCK_RAY_BYTES = 66  # traced peak bytes per ray of one table-build block on the
+# twin-rooms grid (cast plus in-place quantisation; measured 63)
+BLOCK_RAYS = 6_600_000 // BLOCK_RAY_BYTES  # rays cast per table-build block, as every
+# free cell times a run of bearings: a 6.6 MB working set, at which twin-warm's peak
+# RSS with two blocks in flight matched that of 50k-ray blocks at 95 B per ray
 
 
 def usable_cpus() -> int:
@@ -224,22 +226,26 @@ class GridScorer:
 
         n_free = self.free_rc.shape[0]
         thetas = grid.orientation_centers()
-        # bearings of one cell's rays, orientation-major: (n_ori * n_rays,)
-        bearings = np.concatenate([ray_bearings(t, n_rays, fov) for t in thetas])
+        # bearings of one cell's rays, ray-major: bearing j is ray j // n_ori
+        # of orientation j % n_ori, so a block fills runs of _rays[ray]
+        bearings = np.stack([ray_bearings(t, n_rays, fov) for t in thetas], axis=1).ravel()
         per_block = max(1, BLOCK_RAYS // n_free)  # bearings cast per block
         self._rays = np.empty((n_rays, n_free, grid.n_orientations), dtype=np.int32)
         self.table = self._rays.transpose(1, 2, 0)  # a view: no second copy
         bound = n_rays * (np.rint(max_range / DEPTH_QUANTUM) + 1)
         self._err_dtype = np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+        n_ori = grid.n_orientations
 
         def fill(lo: int) -> None:
             d, _ = cast_rays(
                 plan, self.free_x[:, None], self.free_y[:, None],
                 bearings[None, lo : lo + per_block], max_range,
             )
-            for j, column in enumerate(np.rint(d / DEPTH_QUANTUM).T, start=lo):
-                orientation, ray = divmod(j, n_rays)
-                self._rays[ray, :, orientation] = column
+            np.rint(np.divide(d, DEPTH_QUANTUM, out=d), out=d)  # quantised in place
+            hi = lo + d.shape[1]
+            for j in range(lo - lo % n_ori, hi, n_ori):  # bearing 0 of each ray in the block
+                a, b = max(j, lo), min(j + n_ori, hi)
+                self._rays[j // n_ori, :, a - j : b - j] = d[:, a - lo : b - lo]
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(fill, range(0, bearings.size, per_block)))

@@ -442,10 +442,27 @@ class TestMining:
         sample = mine_samples(mining_world, 1, PerturbSpec(0, 0), spec, self.CROP)
         gt = sample.anchor_pose
         assert len(sample.orientation_negatives) == 2
-        for crop in sample.orientation_negatives:
+        # two turns evenly spaced about pi: 120 and 240 degrees
+        for crop, turn in zip(sample.orientation_negatives, (2 * math.pi / 3, 4 * math.pi / 3)):
             p = crop.source_pose
             assert (p.x, p.y) == (gt.x, gt.y)
-            assert p.theta == pytest.approx((gt.theta + math.pi) % (2 * math.pi))
+            assert p.theta == pytest.approx((gt.theta + turn) % (2 * math.pi))
+
+    def test_orientation_negatives_are_distinct_crops(self, mining_world):
+        spec = MiningSpec(n_inner=0, n_cross=0, n_ori=3, seed=2)
+        sample = mine_samples(mining_world, 1, PerturbSpec(0, 0), spec, self.CROP)
+        gt = sample.anchor_pose
+        thetas = [crop.source_pose.theta for crop in sample.orientation_negatives]
+        turns = (math.pi / 2, math.pi, 3 * math.pi / 2)  # 90, 180 and 270 degrees
+        assert thetas == pytest.approx([(gt.theta + t) % (2 * math.pi) for t in turns])
+        pixels = [crop.pixels.tobytes() for crop in sample.orientation_negatives]
+        assert len(set(pixels)) == 3
+        # one negative is the single turn by ori_neg_rotation itself, bit for bit
+        single = mine_samples(
+            mining_world, 1, PerturbSpec(0, 0), MiningSpec(n_inner=0, n_cross=0, n_ori=1, seed=2),
+            self.CROP,
+        )
+        assert single.orientation_negatives[0].source_pose == gt.rotated(math.pi)
 
     def test_cross_negatives_come_from_other_plans(self, mining_world):
         spec = MiningSpec(n_inner=0, n_cross=4, n_ori=1, seed=9)
