@@ -176,8 +176,9 @@ class GridScorer:
     localizations on the same map. It holds int32 depths in DEPTH_QUANTUM
     units (so `max_range` <= MAX_TABLE_RANGE), stored ray-major as (n_rays,
     n_free, n_orientations); `table` is its (n_free, n_orientations, n_rays)
-    view. Each block casts every free cell against a run of bearings
-    (`BLOCK_RAYS` rays in all, rounded down to whole bearings), on `threads`
+    view. Each block casts every free cell against a run of bearings in
+    ray-major order (`BLOCK_RAYS` rays in all, rounded down to whole bearings;
+    about 63 traced bytes per ray on the twin-rooms grid), on `threads`
     worker threads (default: :func:`usable_cpus`); the table does not depend
     on their count. Error sums are exact in int32 when n_rays times the largest
     per-ray error (max_range in quanta, plus one for `check_depth_range`'s
