@@ -248,29 +248,31 @@ def _clearance(blocked: np.ndarray, dtype=np.int32) -> np.ndarray:
     return out
 
 
-def _index_dtype(n_rays: int, h: int, w: int, n_stencils: int) -> type:
+def _index_dtype(n_rays: int, h: int, w: int, n_pairs: int) -> type:
     """The one index-width rule of :func:`cast_rays`, whose ray state holds
     three indices per ray: its flat index into the batch (below ``n_rays``);
     its cell in the walk plane, which an out-of-range crossing moves past
-    the plane by the plane's size (below 8 (h + 2) (w + 2)); and its position
-    in a segment's (step, stencil) table, at most a segment of h + w + 2
-    steps plus one clearance jump (below 2 (h + w + 3) ``n_stencils``).
+    the plane by the plane's size (below 8 (h + 2) (w + 2)); and its
+    stencil, first as its (key, bearing) pair (below ``n_pairs``), then as
+    its position in a segment's (step, stencil) table of at most
+    min(``n_pairs``, ``n_rays``) stencils in use, at most a segment of
+    h + w + 2 steps plus one clearance jump (below 2 (h + w + 3) of those).
     int32 when every bound is at most 2**31, else int64."""
-    bound = max(n_rays, 8 * (h + 2) * (w + 2), 2 * (h + w + 3) * n_stencils)
+    n_stencils = min(n_pairs, n_rays)
+    bound = max(n_rays, n_pairs, 8 * (h + 2) * (w + 2), 2 * (h + w + 3) * n_stencils)
     return np.int32 if bound <= 2**31 else np.int64
 
 
 def _stencil_rays(
     plan: FloorPlan, xs: np.ndarray, ys: np.ndarray, bearings: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The rays of a :func:`cast_rays` batch whose origins lie in the map,
-    as the rows of one ``(3, n)`` array of :func:`_index_dtype`: their flat
-    indices into the broadcast batch, their start cells in
-    ``plan._walk_grid`` (in their quadrant's copy) and their stencils; and
-    the stencils' traversal state before the first step, as
-    :func:`_extend_stencils` takes it. A batch with one origin gives each
-    bearing its own stencil, without the passes that class keys and
-    bearings."""
+    """The rays of a :func:`cast_rays` batch as the rows of one ``(3, n)``
+    array of :func:`_index_dtype`: their flat indices into the broadcast
+    batch, their start cells in ``plan._walk_grid`` (in their quadrant's
+    copy) and their stencils; and the stencils' traversal state before the
+    first step, as :func:`_extend_stencils` takes it. A ray whose origin is
+    off the map starts on the ring's first cell, every neighbour of which
+    is on the ring (or clipped onto it), so its first step ends it."""
     shape = np.broadcast_shapes(xs.shape, ys.shape, bearings.shape)
     size = math.prod(shape)
     h, w = plan.height_cells, plan.width_cells
@@ -283,14 +285,10 @@ def _stencil_rays(
     key = np.empty(inside.shape + (4,))
     key[..., 0], key[..., 1] = (fx + 0.0) - px, (fx + 1.0) - px
     key[..., 2], key[..., 3] = (fy + 0.0) - py, (fy + 1.0) - py
-    if inside.size == 1:
-        keys, pair_of = key.reshape(1, 4), np.zeros(inside.shape, dtype=np.intp)
-        angles, angle_of = bearings.reshape(-1), np.arange(bearings.size)
-    else:
-        keys, pair_of = np.unique(key.reshape(-1, 4).view("V32"), return_inverse=True)
-        keys = keys.view(float).reshape(-1, 4)
-        angles, angle_of = np.unique(bearings, return_inverse=True)
-    index = _index_dtype(size, h, w, min(keys.shape[0] * angles.size, size))
+    keys, pair_of = np.unique(key.reshape(-1, 4).view("V32"), return_inverse=True)
+    keys = keys.view(float).reshape(-1, 4)
+    angles, angle_of = np.unique(bearings, return_inverse=True)
+    index = _index_dtype(size, h, w, keys.shape[0] * angles.size)
     dx, dy = np.cos(angles), np.sin(angles)
     # a subnormal component (its 1 / d overflows) never reaches a grid line in range
     dx, dy = (np.where(np.abs(d) < np.finfo(float).tiny, 0.0, d) for d in (dx, dy))
@@ -305,11 +303,9 @@ def _stencil_rays(
            out=rays[1].reshape(shape))
     np.add((pair_of * angles.size).astype(index).reshape(inside.shape),
            angle_of.astype(index).reshape(bearings.shape), out=rays[2].reshape(shape))
-    if not inside.all():
-        rays = rays.compress(np.broadcast_to(inside, shape).reshape(-1), axis=1)
     # every pair's stencil when there are no more of those than rays, else
     # only those that occur
-    if keys.shape[0] * angles.size <= rays.shape[1]:
+    if keys.shape[0] * angles.size <= size:
         stencils = np.arange(keys.shape[0] * angles.size)
     else:
         stencils, rays[2] = np.unique(rays[2], return_inverse=True)
@@ -432,7 +428,7 @@ def cast_rays(
             cell = np.add(offsets.take(rays[2], mode="clip"), rays[1], dtype=np.intp)
             jump = plane.take(cell, mode="clip")  # a sentinel reads the last, off-map cell
             del cell
-            wall = np.flatnonzero(jump == 0)  # few: one index for both rows
+            wall = (jump == 0).nonzero()[0]  # few: one index for both rows
             if wall.size:
                 ids = rays[0].take(wall).astype(np.intp)  # scatters fastest as intp
                 flat_depth[ids] = crossings.take(rays[2].take(wall)) * plan.resolution
@@ -441,11 +437,12 @@ def cast_rays(
             # every ray jumps; those that hit or left the map then drop out,
             # the others moving to the front of the state they already hold
             rays[2] += np.multiply(jump, n, dtype=rays.dtype)
-            go = np.flatnonzero(jump > 0)
+            go = (jump > 0).nonzero()[0]
             del jump
             for row in rays:
-                np.take(row, go, out=row[: go.size])
+                row.take(go, out=row[: go.size])
             rays = rays[:, : go.size]
+            del go
         done += m
         if not waiting:
             break

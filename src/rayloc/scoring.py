@@ -38,11 +38,9 @@ MAX_TABLE_RANGE = (2**31 - 1) * DEPTH_QUANTUM  # meters; the largest int32 depth
 
 PROBMAP_MAGIC = b"DPMF"
 
-BLOCK_RAY_BYTES = 66  # traced peak bytes per ray of one table-build block on the
-# twin-rooms grid (cast plus in-place quantisation; measured 63)
-BLOCK_RAYS = 6_600_000 // BLOCK_RAY_BYTES  # rays cast per table-build block, as every
-# free cell times a run of bearings: a 6.6 MB working set, at which twin-warm's peak
-# RSS with two blocks in flight matched that of 50k-ray blocks at 95 B per ray
+BLOCK_RAYS = 85_000  # rays cast per table-build block, as every free cell times a
+# run of bearings: a block's cast peaks at about 57 traced bytes per ray on the
+# twin-rooms grid (51 on the corridor), so each block stays under 5 MB
 
 
 def usable_cpus() -> int:
@@ -178,9 +176,9 @@ class GridScorer:
     n_free, n_orientations); `table` is its (n_free, n_orientations, n_rays)
     view. Each block casts every free cell against a run of bearings in
     ray-major order (`BLOCK_RAYS` rays in all, rounded down to whole bearings;
-    about 63 traced bytes per ray on the twin-rooms grid), on `threads`
-    worker threads (default: :func:`usable_cpus`); the table does not depend
-    on their count. Error sums are exact in int32 when n_rays times the largest
+    a peak of about 57 traced bytes per ray on the twin-rooms grid), on
+    `threads` worker threads (default: :func:`usable_cpus`); the table does
+    not depend on their count. Error sums are exact in int32 when n_rays times the largest
     per-ray error (max_range in quanta, plus one for `check_depth_range`'s
     slack) fits, else in int64.
     """

@@ -55,6 +55,24 @@ def test_every_traced_name_resolves(target):
         assert callable(getattr(owner, attr, None)), attr
 
 
+@pytest.mark.parametrize("block_rays", [None, 1_000])
+def test_twin_setup_spans_count_every_table_ray(monkeypatch, block_rays):
+    """The table build's cast_rays spans, one per block, sum to the table's
+    rays, so floorplan.cast_rays.rays and ns_per_ray count every one."""
+    if block_rays is not None:  # many blocks, the last ragged
+        monkeypatch.setattr(scoring, "BLOCK_RAYS", block_rays)
+    tracer = tracing.Tracer()
+    with tracing.Instrumentation(tracer):
+        tracer.request = "setup"
+        plan, _ = synth.generate_world(WorldSpec(seed=1))
+        scorer = scoring.GridScorer(plan, GRID, n_rays=N_RAYS, fov=FOV, max_range=MAX_RANGE)
+    stats = tracing.SpanStats(tracer.spans)
+    table_rays = scorer.n_free * GRID.n_orientations * N_RAYS
+    per_block = max(1, scoring.BLOCK_RAYS // scorer.n_free) * scorer.n_free
+    assert stats.attr("floorplan.cast_rays", "rays") == table_rays
+    assert stats.calls("floorplan.cast_rays") == -(-table_rays // per_block)
+
+
 def test_twin_warm_path_observes_every_layer():
     tracer = tracing.Tracer()
     with tracing.Instrumentation(tracer):

@@ -250,6 +250,75 @@ class TestClearance:
         assert box_plan._walk_grid is box_plan._walk_grid
 
 
+class TestWalkPlane:
+    @pytest.mark.parametrize("w,dtype", [(32764, np.int16), (32765, np.int32)])
+    def test_bytes_per_padded_cell(self, w, dtype):
+        # int16 while every clearance (at most h + w + 2 on the padded grid)
+        # fits, else int32: one copy per quadrant
+        occ = np.zeros((1, w), dtype=bool)
+        occ[0, -1] = True
+        plan = FloorPlan(occupancy=occ, resolution=0.01)
+        plane = plan._walk_grid
+        assert plane.dtype == dtype
+        assert plane.nbytes == 4 * np.dtype(dtype).itemsize * 3 * (w + 2)
+        # a ray along the strip jumps up to w - 1 cells at once, onto the wall
+        depth, hit = cast_ray(plan, 0.005, 0.005, 0.0, max_range=1000.0)
+        assert hit and depth == pytest.approx((w - 1.5) * 0.01, abs=1e-9)
+
+    def test_codes_clearance_walls_and_ring(self):
+        occ = np.random.default_rng(4).random((7, 9)) < 0.3
+        plan = FloorPlan(occupancy=occ, resolution=0.1)
+        plane = plan._walk_grid.reshape(4, 9, 11)
+        blocked = np.ones((9, 11), dtype=bool)
+        blocked[1:-1, 1:-1] = occ
+        clearance = floorplan._clearance(blocked)
+        assert plane.dtype == np.int16
+        assert (plane[:, 1:-1, 1:-1] == np.where(occ, 0, clearance[:, 1:-1, 1:-1])).all()
+        ring = np.ones((9, 11), dtype=bool)
+        ring[1:-1, 1:-1] = False
+        assert (plane[:, ring] == -1).all()
+
+
+class TestIndexWidth:
+    """cast_rays' index-width rule at its 2**31 boundary, by arithmetic."""
+
+    def test_each_bound_at_the_boundary(self):
+        small = dict(h=1, w=1)
+        assert floorplan._index_dtype(2**31, n_pairs=1, **small) is np.int32
+        assert floorplan._index_dtype(2**31 + 1, n_pairs=1, **small) is np.int64
+        # stencils first numbered by (key, bearing) pair
+        assert floorplan._index_dtype(10, n_pairs=2**31, **small) is np.int32
+        assert floorplan._index_dtype(10, n_pairs=2**31 + 1, **small) is np.int64
+        # walk-plane cells: 8 (h + 2) (w + 2) = 2**31 at h = w = 2**14 - 2
+        assert floorplan._index_dtype(10, 2**14 - 2, 2**14 - 2, 1) is np.int32
+        assert floorplan._index_dtype(10, 2**14 - 2, 2**14 - 1, 1) is np.int64
+        # segment positions: 2 (h + w + 3) stencils in use, 10 per stencil here
+        n = 2**31 // 10
+        assert floorplan._index_dtype(n, n_pairs=n, **small) is np.int32
+        assert floorplan._index_dtype(n + 1, n_pairs=n + 1, **small) is np.int64
+
+    def test_one_bearing_per_origin(self):
+        # n distinct origins and bearings make n**2 pairs, which wrap int32
+        # once n > 46,340, though only n stencils are in use
+        assert floorplan._index_dtype(46_340, 10, 10, 46_340**2) is np.int32
+        assert floorplan._index_dtype(46_341, 10, 10, 46_341**2) is np.int64
+
+    def test_rule_sees_every_pair(self, box_plan, monkeypatch):
+        seen = []
+        rule = floorplan._index_dtype
+        monkeypatch.setattr(
+            floorplan, "_index_dtype", lambda *args: seen.append(args) or rule(*args)
+        )
+        n = 30
+        xs = np.linspace(0.11, 0.85, n)
+        ys = np.linspace(0.13, 0.87, n)
+        bearings = np.linspace(0.05, 6.0, n)
+        got = cast_rays(box_plan, xs, ys, bearings)
+        assert seen == [(n, box_plan.height_cells, box_plan.width_cells, n * n)]
+        ref = _reference_cast_rays(box_plan, xs, ys, bearings, floorplan.DEFAULT_MAX_RANGE)
+        assert np.array_equal(got, ref)
+
+
 @st.composite
 def ray_batches(draw):
     """A random open or walled grid and a batch of rays whose origins lie in
@@ -317,6 +386,46 @@ class TestCastRaysOracle:
         assert depths.shape == hits.shape == (xs.size, bearings.size)
         assert np.array_equal(depths.ravel(), ref_depths)
         assert np.array_equal(hits.ravel(), ref_hits)
+
+    @settings(max_examples=150)
+    @given(ray_batches(), st.integers(1, 20), st.integers(0, 2**32 - 1), st.booleans())
+    def test_origins_off_the_map_cast_max_range(self, batch, n_off, seed, broadcast):
+        # in-map origins mixed with off-map ones past each side, some on the
+        # map's far edge, which floors to the first column or row past it
+        plan, xs, ys, bearings, max_range = batch
+        rng = np.random.default_rng(seed)
+        h, w, res = plan.height_cells, plan.width_cells, plan.resolution
+        side = rng.integers(0, 4, n_off)
+        past = np.where(rng.random(n_off) < 0.3, 0.0, rng.uniform(1e-6, 3.0, n_off))
+        cols = np.select([side == 0, side == 1], [-1e-6 - past, w + past], rng.uniform(-3, w + 3, n_off))
+        rows = np.select([side == 2, side == 3], [-1e-6 - past, h + past], rng.uniform(-3, h + 3, n_off))
+        all_xs = np.concatenate([xs, plan.origin[0] + cols * res])
+        all_ys = np.concatenate([ys, plan.origin[1] + rows * res])
+        # in the map as the traversal floors an origin
+        c = np.floor((all_xs - plan.origin[0]) / res)
+        r = np.floor((all_ys - plan.origin[1]) / res)
+        on_map = (c >= 0) & (c < w) & (r >= 0) & (r < h)
+        order = rng.permutation(all_xs.size)
+        all_xs, all_ys, on_map = all_xs[order], all_ys[order], on_map[order]
+        if broadcast:
+            fan = np.concatenate([bearings[:5], AXIS_BEARINGS])
+            depths, hits = cast_rays(
+                plan, all_xs[:, None], all_ys[:, None], fan[None, :], max_range
+            )
+            all_xs = np.repeat(all_xs, fan.size)
+            all_ys = np.repeat(all_ys, fan.size)
+            on_map = np.repeat(on_map, fan.size)
+            all_bearings = np.tile(fan, order.size)
+            depths, hits = depths.ravel(), hits.ravel()
+        else:
+            all_bearings = rng.uniform(-math.pi, 3 * math.pi, order.size)
+            depths, hits = cast_rays(plan, all_xs, all_ys, all_bearings, max_range)
+        ref_depths, ref_hits = _reference_cast_rays(
+            plan, all_xs[on_map], all_ys[on_map], all_bearings[on_map], max_range
+        )
+        assert np.array_equal(depths[on_map], ref_depths)
+        assert np.array_equal(hits[on_map], ref_hits)
+        assert (depths[~on_map] == max_range).all() and not hits[~on_map].any()
 
     def test_empty_and_scalar_batches(self, box_plan):
         depths, hits = cast_rays(box_plan, np.zeros((0, 1)), 0.5, np.zeros((1, 3)))

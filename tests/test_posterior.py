@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -387,6 +388,36 @@ class TestBlockedTableBuild:
                 max_range=10.0, threads=threads,
             )
             assert hashlib.sha256(scorer.table.tobytes()).hexdigest() == digest
+
+    def test_block_working_set(self, monkeypatch):
+        """A full twin-rooms block peaks within the budget that BLOCK_RAYS is
+        sized by, 60 traced bytes per ray and 5 MB: the cast with its depth
+        and hit arrays, which the block then quantises and writes in place."""
+        plan, _ = generate_world(WorldSpec(seed=1))
+        plan._walk_grid  # built once per plan, outside any block
+        blocks = []
+        cast = scoring.cast_rays
+
+        def traced_cast(*args):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            depths, hits = cast(*args)
+            blocks.append((tracemalloc.get_traced_memory()[1] - base, depths.size))
+            return depths, hits
+
+        monkeypatch.setattr(scoring, "cast_rays", traced_cast)
+        tracemalloc.start()
+        try:
+            scorer = GridScorer(
+                plan, PoseGridSpec(0.1, 4), n_rays=40, fov=math.radians(108),
+                max_range=10.0, threads=1,
+            )
+        finally:
+            tracemalloc.stop()
+        full = scoring.BLOCK_RAYS // scorer.n_free * scorer.n_free
+        peaks = [peak for peak, rays in blocks if rays == full]
+        assert len(peaks) > 1 and blocks[0][1] == full
+        assert max(peaks) <= min(60 * full, 5_000_000)
 
 
 def _float_posterior(scorer: GridScorer, pred: np.ndarray, sigma: float) -> np.ndarray:
