@@ -397,8 +397,12 @@ class TestCastRaysOracle:
         h, w, res = plan.height_cells, plan.width_cells, plan.resolution
         side = rng.integers(0, 4, n_off)
         past = np.where(rng.random(n_off) < 0.3, 0.0, rng.uniform(1e-6, 3.0, n_off))
-        cols = np.select([side == 0, side == 1], [-1e-6 - past, w + past], rng.uniform(-3, w + 3, n_off))
-        rows = np.select([side == 2, side == 3], [-1e-6 - past, h + past], rng.uniform(-3, h + 3, n_off))
+        cols = np.select(
+            [side == 0, side == 1], [-1e-6 - past, w + past], rng.uniform(-3, w + 3, n_off)
+        )
+        rows = np.select(
+            [side == 2, side == 3], [-1e-6 - past, h + past], rng.uniform(-3, h + 3, n_off)
+        )
         all_xs = np.concatenate([xs, plan.origin[0] + cols * res])
         all_ys = np.concatenate([ys, plan.origin[1] + rows * res])
         # in the map as the traversal floors an origin
